@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/audit/decision_log.hpp"
 #include "src/baseline/edf.hpp"
 #include "src/campaign/campaign.hpp"
 #include "src/campaign/shard.hpp"
@@ -243,6 +244,56 @@ BENCHMARK(BM_EasBase_TaskScaling_NoCache)
     ->Range(64, 1024)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+/// Decision stream of a fixed 512-task EAS run (Category I style deadlines,
+/// 4x4 platform), serialized once: the workload of the two stream benches.
+const std::string& decision_stream_512() {
+  static const std::string text = [] {
+    TgffParams params = category_params(1, 0);
+    params.num_tasks = 512;
+    params.num_edges = 2 * params.num_tasks;
+    const TaskGraph g = generate_tgff_like(params, catalog_4x4());
+    audit::DecisionLog log;
+    EasOptions options;
+    options.decisions = &log;
+    benchmark::DoNotOptimize(schedule_eas(g, platform_4x4(), options));
+    std::ostringstream os;
+    log.write_jsonl(os);
+    return std::move(os).str();
+  }();
+  return text;
+}
+
+/// Decision-stream serialization throughput ("mb_per_s" of JSONL written),
+/// which tools/bench_compare.py records in bench_rates.
+void BM_DecisionStream_Write(benchmark::State& state) {
+  std::istringstream is(decision_stream_512());
+  const audit::DecisionStream stream = audit::read_decision_stream(is);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    audit::write_decision_jsonl(os, stream);
+    bytes += static_cast<std::size_t>(os.tellp());
+    benchmark::DoNotOptimize(os);
+  }
+  state.counters["mb_per_s"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DecisionStream_Write)->Unit(benchmark::kMillisecond);
+
+/// Decision-stream parsing throughput ("mb_per_s" of JSONL read back).
+void BM_DecisionStream_Read(benchmark::State& state) {
+  const std::string& text = decision_stream_512();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::istringstream is(text);
+    benchmark::DoNotOptimize(audit::read_decision_stream(is));
+    bytes += text.size();
+  }
+  state.counters["mb_per_s"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DecisionStream_Read)->Unit(benchmark::kMillisecond);
 
 /// Custom campaign app for the merge bench (mirrors the campaign tests).
 campaign::AppSpec merge_bench_app(const std::string& name, std::size_t tasks) {

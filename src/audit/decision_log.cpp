@@ -1,9 +1,9 @@
 #include "src/audit/decision_log.hpp"
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "src/util/error.hpp"
 #include "src/util/json.hpp"
@@ -13,143 +13,192 @@ namespace noceas::audit {
 namespace {
 
 // ---- JSON writing ----------------------------------------------------------
+// Records are appended to one string chunk that is flushed to the stream
+// every kChunkBytes; numbers go through std::to_chars (json::append_*).
+// tests/golden/decisions_*.jsonl pin the bytes.
 
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "null";  // NaN/inf are not JSON
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
+constexpr std::size_t kChunkBytes = 64 * 1024;
 
 template <typename T>
-void write_int_array(std::ostream& os, const std::vector<T>& xs) {
-  os << '[';
+void field(std::string& out, std::string_view key, T v) {
+  out += key;
+  json::append_int(out, v);
+}
+
+void real_field(std::string& out, std::string_view key, double v) {
+  out += key;
+  json::append_double(out, v);
+}
+
+void write_int_array(std::string& out, const std::vector<std::int32_t>& xs) {
+  out += '[';
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) os << ',';
-    os << xs[i];
+    if (i > 0) out += ',';
+    json::append_int(out, xs[i]);
   }
-  os << ']';
+  out += ']';
 }
 
 /// kNoDeadline round-trips as -1 (same convention as the trace args).
 std::int64_t budget_repr(Time t) { return t == kNoDeadline ? -1 : t; }
 Time budget_parse(std::int64_t v) { return v < 0 ? kNoDeadline : v; }
 
-void write_place(std::ostream& os, const DecisionEvent& e) {
+void write_place(std::string& out, const DecisionEvent& e) {
   const PlacementDecision& d = e.place;
-  os << "{\"type\":\"place\",\"seq\":" << e.seq << ",\"task\":" << d.task << ",\"pe\":" << d.pe
-     << ",\"start\":" << d.start << ",\"finish\":" << d.finish
-     << ",\"bd\":" << budget_repr(d.budget) << ",\"rule\":";
-  write_string(os, d.rule);
-  os << ",\"ready\":";
-  write_int_array(os, d.ready);
-  os << ",\"candidates\":[";
+  field(out, "{\"type\":\"place\",\"seq\":", e.seq);
+  field(out, ",\"task\":", d.task);
+  field(out, ",\"pe\":", d.pe);
+  field(out, ",\"start\":", d.start);
+  field(out, ",\"finish\":", d.finish);
+  field(out, ",\"bd\":", budget_repr(d.budget));
+  out += ",\"rule\":";
+  json::append_string(out, d.rule);
+  out += ",\"ready\":";
+  write_int_array(out, d.ready);
+  out += ",\"candidates\":[";
   for (std::size_t i = 0; i < d.candidates.size(); ++i) {
     const CandidateRow& c = d.candidates[i];
-    if (i > 0) os << ',';
-    os << "{\"task\":" << c.task << ",\"pe\":" << c.pe << ",\"f\":" << c.finish
-       << ",\"e\":" << fmt(c.energy) << ",\"feasible\":" << (c.feasible ? "true" : "false")
-       << ",\"score\":" << fmt(c.score) << '}';
+    if (i > 0) out += ',';
+    field(out, "{\"task\":", c.task);
+    field(out, ",\"pe\":", c.pe);
+    field(out, ",\"f\":", c.finish);
+    real_field(out, ",\"e\":", c.energy);
+    out += c.feasible ? ",\"feasible\":true" : ",\"feasible\":false";
+    real_field(out, ",\"score\":", c.score);
+    out += '}';
   }
-  os << "],\"comms\":[";
+  out += "],\"comms\":[";
   for (std::size_t i = 0; i < d.comms.size(); ++i) {
     const CommRecord& c = d.comms[i];
-    if (i > 0) os << ',';
-    os << "{\"edge\":" << c.edge << ",\"src_task\":" << c.src_task << ",\"src_pe\":" << c.src_pe
-       << ",\"dst_pe\":" << c.dst_pe << ",\"src_finish\":" << c.src_finish
-       << ",\"start\":" << c.start << ",\"dur\":" << c.duration << ",\"route\":";
-    write_int_array(os, c.route);
-    os << '}';
+    if (i > 0) out += ',';
+    field(out, "{\"edge\":", c.edge);
+    field(out, ",\"src_task\":", c.src_task);
+    field(out, ",\"src_pe\":", c.src_pe);
+    field(out, ",\"dst_pe\":", c.dst_pe);
+    field(out, ",\"src_finish\":", c.src_finish);
+    field(out, ",\"start\":", c.start);
+    field(out, ",\"dur\":", c.duration);
+    out += ",\"route\":";
+    write_int_array(out, c.route);
+    out += '}';
   }
-  os << "]}\n";
+  out += "]}\n";
 }
 
-void write_move(std::ostream& os, const DecisionEvent& e) {
+void write_move(std::string& out, const DecisionEvent& e) {
   const RepairMoveRecord& m = e.move;
-  os << "{\"type\":\"repair_move\",\"seq\":" << e.seq << ",\"kind\":";
-  write_string(os, m.kind);
-  os << ",\"task\":" << m.task;
+  field(out, "{\"type\":\"repair_move\",\"seq\":", e.seq);
+  out += ",\"kind\":";
+  json::append_string(out, m.kind);
+  field(out, ",\"task\":", m.task);
   if (m.kind == "lts") {
-    os << ",\"pe\":" << m.pe << ",\"pos_a\":" << m.pos_a << ",\"pos_b\":" << m.pos_b
-       << ",\"swap_with\":" << m.swap_with;
+    field(out, ",\"pe\":", m.pe);
+    field(out, ",\"pos_a\":", m.pos_a);
+    field(out, ",\"pos_b\":", m.pos_b);
+    field(out, ",\"swap_with\":", m.swap_with);
   } else {
-    os << ",\"from_pe\":" << m.from_pe << ",\"to_pe\":" << m.to_pe
-       << ",\"insert_index\":" << m.insert_index << ",\"delta_e\":" << fmt(m.delta_energy);
+    field(out, ",\"from_pe\":", m.from_pe);
+    field(out, ",\"to_pe\":", m.to_pe);
+    field(out, ",\"insert_index\":", m.insert_index);
+    real_field(out, ",\"delta_e\":", m.delta_energy);
   }
-  os << ",\"accepted\":" << (m.accepted ? "true" : "false")
-     << ",\"misses_before\":" << m.misses_before << ",\"misses_after\":" << m.misses_after
-     << ",\"tardiness_before\":" << m.tardiness_before
-     << ",\"tardiness_after\":" << m.tardiness_after << "}\n";
+  out += m.accepted ? ",\"accepted\":true" : ",\"accepted\":false";
+  field(out, ",\"misses_before\":", m.misses_before);
+  field(out, ",\"misses_after\":", m.misses_after);
+  field(out, ",\"tardiness_before\":", m.tardiness_before);
+  field(out, ",\"tardiness_after\":", m.tardiness_after);
+  out += "}\n";
 }
 
-void write_final(std::ostream& os, const FinalRecord& f) {
-  os << "{\"type\":\"final\",\"tasks\":[";
+void write_final(std::string& out, const FinalRecord& f) {
+  out += "{\"type\":\"final\",\"tasks\":[";
   for (std::size_t i = 0; i < f.tasks.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '[' << f.tasks[i].pe << ',' << f.tasks[i].start << ',' << f.tasks[i].finish << ']';
+    if (i > 0) out += ',';
+    field(out, "[", f.tasks[i].pe);
+    field(out, ",", f.tasks[i].start);
+    field(out, ",", f.tasks[i].finish);
+    out += ']';
   }
-  os << "],\"comms\":[";
+  out += "],\"comms\":[";
   for (std::size_t i = 0; i < f.comms.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '[' << f.comms[i].src_pe << ',' << f.comms[i].dst_pe << ',' << f.comms[i].start << ','
-       << f.comms[i].duration << ']';
+    if (i > 0) out += ',';
+    field(out, "[", f.comms[i].src_pe);
+    field(out, ",", f.comms[i].dst_pe);
+    field(out, ",", f.comms[i].start);
+    field(out, ",", f.comms[i].duration);
+    out += ']';
   }
-  os << "],\"comp_energy\":" << fmt(f.computation_energy)
-     << ",\"comm_energy\":" << fmt(f.communication_energy) << ",\"misses\":" << f.miss_count
-     << ",\"tardiness\":" << f.total_tardiness << "}\n";
+  real_field(out, "],\"comp_energy\":", f.computation_energy);
+  real_field(out, ",\"comm_energy\":", f.communication_energy);
+  field(out, ",\"misses\":", f.miss_count);
+  field(out, ",\"tardiness\":", f.total_tardiness);
+  out += "}\n";
+}
+
+void write_event(std::string& out, const DecisionEvent& e) {
+  switch (e.kind) {
+    case DecisionEvent::Kind::BeginAttempt:
+      field(out, "{\"type\":\"attempt\",\"seq\":", e.seq);
+      field(out, ",\"index\":", e.attempt);
+      out += "}\n";
+      break;
+    case DecisionEvent::Kind::Place: write_place(out, e); break;
+    case DecisionEvent::Kind::RepairBegin:
+    case DecisionEvent::Kind::RepairEnd:
+      field(out,
+            e.kind == DecisionEvent::Kind::RepairBegin ? "{\"type\":\"repair_begin\",\"seq\":"
+                                                       : "{\"type\":\"repair_end\",\"seq\":",
+            e.seq);
+      field(out, ",\"misses\":", e.repair_misses);
+      field(out, ",\"tardiness\":", e.repair_tardiness);
+      out += "}\n";
+      break;
+    case DecisionEvent::Kind::RepairMove: write_move(out, e); break;
+  }
 }
 
 // ---- JSON parsing ----------------------------------------------------------
-// The subset parser is shared repo-wide (src/util/json.hpp); this file only
-// maps parsed values back onto the decision-event structs.
+// The parser is shared repo-wide (src/util/json.hpp); this file only maps
+// parsed views onto the decision-event structs.
 
-using Json = json::Value;
+using Json = json::View;
 
-std::vector<std::int32_t> parse_int_array(const Json& j) {
-  NOCEAS_REQUIRE(j.kind == Json::Kind::Arr, "decision stream: expected an array");
-  std::vector<std::int32_t> out;
-  out.reserve(j.arr.size());
-  for (const Json& v : j.arr) out.push_back(v.i32());
-  return out;
+/// Events reserved up front from the header's task count; capped so a
+/// corrupt header cannot demand a huge allocation.
+constexpr std::size_t kMaxReservedEvents = 1 << 14;
+
+void parse_int_array(Json j, std::vector<std::int32_t>& out) {
+  NOCEAS_REQUIRE(j.kind() == json::Kind::Arr, "decision stream: expected an array");
+  out.reserve(j.size());
+  for (const Json v : j) out.push_back(v.i32());
 }
 
-DecisionEvent parse_place(const Json& j) {
-  DecisionEvent e;
+void parse_place(Json j, DecisionEvent& e) {
   e.kind = DecisionEvent::Kind::Place;
-  e.seq = static_cast<std::uint64_t>(j.at("seq").i64());
+  e.seq = j.at("seq").u64();
   PlacementDecision& d = e.place;
   d.task = j.at("task").i32();
   d.pe = j.at("pe").i32();
   d.start = j.at("start").i64();
   d.finish = j.at("finish").i64();
   d.budget = budget_parse(j.at("bd").i64());
-  d.rule = j.at("rule").str;
-  d.ready = parse_int_array(j.at("ready"));
-  for (const Json& c : j.at("candidates").arr) {
-    CandidateRow row;
+  d.rule = j.at("rule").str();
+  parse_int_array(j.at("ready"), d.ready);
+  const Json candidates = j.at("candidates");
+  d.candidates.reserve(candidates.size());
+  for (const Json c : candidates) {
+    CandidateRow& row = d.candidates.emplace_back();
     row.task = c.at("task").i32();
     row.pe = c.at("pe").i32();
     row.finish = c.at("f").i64();
-    row.energy = c.at("e").num;
-    row.feasible = c.at("feasible").b;
-    row.score = c.at("score").num;
-    d.candidates.push_back(row);
+    row.energy = c.at("e").num();
+    row.feasible = c.at("feasible").boolean();
+    row.score = c.at("score").num();
   }
-  for (const Json& c : j.at("comms").arr) {
-    CommRecord comm;
+  const Json comms = j.at("comms");
+  d.comms.reserve(comms.size());
+  for (const Json c : comms) {
+    CommRecord& comm = d.comms.emplace_back();
     comm.edge = c.at("edge").i32();
     comm.src_task = c.at("src_task").i32();
     comm.src_pe = c.at("src_pe").i32();
@@ -157,18 +206,15 @@ DecisionEvent parse_place(const Json& j) {
     comm.src_finish = c.at("src_finish").i64();
     comm.start = c.at("start").i64();
     comm.duration = c.at("dur").i64();
-    comm.route = parse_int_array(c.at("route"));
-    d.comms.push_back(std::move(comm));
+    parse_int_array(c.at("route"), comm.route);
   }
-  return e;
 }
 
-DecisionEvent parse_move(const Json& j) {
-  DecisionEvent e;
+void parse_move(Json j, DecisionEvent& e) {
   e.kind = DecisionEvent::Kind::RepairMove;
-  e.seq = static_cast<std::uint64_t>(j.at("seq").i64());
+  e.seq = j.at("seq").u64();
   RepairMoveRecord& m = e.move;
-  m.kind = j.at("kind").str;
+  m.kind = j.at("kind").str();
   m.task = j.at("task").i32();
   if (m.kind == "lts") {
     m.pe = j.at("pe").i32();
@@ -179,34 +225,36 @@ DecisionEvent parse_move(const Json& j) {
     m.from_pe = j.at("from_pe").i32();
     m.to_pe = j.at("to_pe").i32();
     m.insert_index = j.at("insert_index").i32();
-    m.delta_energy = j.at("delta_e").num;
+    m.delta_energy = j.at("delta_e").num();
   } else {
     NOCEAS_REQUIRE(false, "decision stream: unknown repair move kind '" << m.kind << '\'');
   }
-  m.accepted = j.at("accepted").b;
-  m.misses_before = static_cast<std::uint64_t>(j.at("misses_before").i64());
-  m.misses_after = static_cast<std::uint64_t>(j.at("misses_after").i64());
+  m.accepted = j.at("accepted").boolean();
+  m.misses_before = j.at("misses_before").u64();
+  m.misses_after = j.at("misses_after").u64();
   m.tardiness_before = j.at("tardiness_before").i64();
   m.tardiness_after = j.at("tardiness_after").i64();
-  return e;
 }
 
-FinalRecord parse_final(const Json& j) {
-  FinalRecord f;
-  for (const Json& t : j.at("tasks").arr) {
-    NOCEAS_REQUIRE(t.arr.size() == 3, "decision stream: final task row needs [pe,start,finish]");
-    f.tasks.push_back(FinalTask{t.arr[0].i32(), t.arr[1].i64(), t.arr[2].i64()});
+void parse_final(Json j, FinalRecord& f) {
+  const Json tasks = j.at("tasks");
+  f.tasks.reserve(tasks.size());
+  for (const Json t : tasks) {
+    NOCEAS_REQUIRE(t.kind() == json::Kind::Arr && t.size() == 3,
+                   "decision stream: final task row needs [pe,start,finish]");
+    f.tasks.push_back(FinalTask{t[0].i32(), t[1].i64(), t[2].i64()});
   }
-  for (const Json& c : j.at("comms").arr) {
-    NOCEAS_REQUIRE(c.arr.size() == 4,
+  const Json comms = j.at("comms");
+  f.comms.reserve(comms.size());
+  for (const Json c : comms) {
+    NOCEAS_REQUIRE(c.kind() == json::Kind::Arr && c.size() == 4,
                    "decision stream: final comm row needs [src,dst,start,dur]");
-    f.comms.push_back(FinalComm{c.arr[0].i32(), c.arr[1].i32(), c.arr[2].i64(), c.arr[3].i64()});
+    f.comms.push_back(FinalComm{c[0].i32(), c[1].i32(), c[2].i64(), c[3].i64()});
   }
-  f.computation_energy = j.at("comp_energy").num;
-  f.communication_energy = j.at("comm_energy").num;
-  f.miss_count = static_cast<std::uint64_t>(j.at("misses").i64());
+  f.computation_energy = j.at("comp_energy").num();
+  f.communication_energy = j.at("comm_energy").num();
+  f.miss_count = j.at("misses").u64();
   f.total_tardiness = j.at("tardiness").i64();
-  return f;
 }
 
 }  // namespace
@@ -261,70 +309,69 @@ void DecisionLog::record_final(FinalRecord final) {
 void DecisionLog::write_jsonl(std::ostream& os) const { write_decision_jsonl(os, stream_); }
 
 void write_decision_jsonl(std::ostream& os, const DecisionStream& stream) {
-  os << "{\"schema\":\"noceas.decisions.v1\",\"scheduler\":";
-  write_string(os, stream.scheduler);
-  os << ",\"tasks\":" << stream.num_tasks << ",\"edges\":" << stream.num_edges
-     << ",\"pes\":" << stream.num_pes << "}\n";
+  std::string out;
+  out.reserve(kChunkBytes + kChunkBytes / 4);
+  const auto flush = [&] {
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
+  };
+  out += "{\"schema\":\"noceas.decisions.v1\",\"scheduler\":";
+  json::append_string(out, stream.scheduler);
+  field(out, ",\"tasks\":", stream.num_tasks);
+  field(out, ",\"edges\":", stream.num_edges);
+  field(out, ",\"pes\":", stream.num_pes);
+  out += "}\n";
   for (const DecisionEvent& e : stream.events) {
-    switch (e.kind) {
-      case DecisionEvent::Kind::BeginAttempt:
-        os << "{\"type\":\"attempt\",\"seq\":" << e.seq << ",\"index\":" << e.attempt << "}\n";
-        break;
-      case DecisionEvent::Kind::Place: write_place(os, e); break;
-      case DecisionEvent::Kind::RepairBegin:
-      case DecisionEvent::Kind::RepairEnd:
-        os << "{\"type\":"
-           << (e.kind == DecisionEvent::Kind::RepairBegin ? "\"repair_begin\"" : "\"repair_end\"")
-           << ",\"seq\":" << e.seq << ",\"misses\":" << e.repair_misses
-           << ",\"tardiness\":" << e.repair_tardiness << "}\n";
-        break;
-      case DecisionEvent::Kind::RepairMove: write_move(os, e); break;
-    }
+    write_event(out, e);
+    if (out.size() >= kChunkBytes) flush();
   }
-  if (stream.has_final) write_final(os, stream.final);
+  if (stream.has_final) write_final(out, stream.final);
+  flush();
   NOCEAS_REQUIRE(os.good(), "failed writing decision stream");
 }
 
 DecisionStream read_decision_stream(std::istream& is) {
   DecisionStream stream;
   std::string line;
+  json::Document doc;
   bool saw_header = false;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    const Json j = json::parse(line, "decision stream");
+    doc.parse(line, "decision stream");
+    const Json j = doc.root();
     if (!saw_header) {
-      NOCEAS_REQUIRE(j.at("schema").str == "noceas.decisions.v1",
-                     "unknown decision stream schema '" << j.at("schema").str << '\'');
-      stream.scheduler = j.at("scheduler").str;
-      stream.num_tasks = static_cast<std::size_t>(j.at("tasks").i64());
-      stream.num_edges = static_cast<std::size_t>(j.at("edges").i64());
-      stream.num_pes = static_cast<std::size_t>(j.at("pes").i64());
+      const std::string_view schema = j.at("schema").str();
+      NOCEAS_REQUIRE(schema == "noceas.decisions.v1",
+                     "unknown decision stream schema '" << schema << '\'');
+      stream.scheduler = j.at("scheduler").str();
+      stream.num_tasks = j.at("tasks").u64();
+      stream.num_edges = j.at("edges").u64();
+      stream.num_pes = j.at("pes").u64();
+      stream.events.reserve(std::min<std::size_t>(stream.num_tasks + 2, kMaxReservedEvents));
       saw_header = true;
       continue;
     }
-    const std::string& type = j.at("type").str;
+    const std::string_view type = j.at("type").str();
     if (type == "attempt") {
-      DecisionEvent e;
+      DecisionEvent& e = stream.events.emplace_back();
       e.kind = DecisionEvent::Kind::BeginAttempt;
-      e.seq = static_cast<std::uint64_t>(j.at("seq").i64());
+      e.seq = j.at("seq").u64();
       e.attempt = j.at("index").i32();
-      stream.events.push_back(std::move(e));
     } else if (type == "place") {
-      stream.events.push_back(parse_place(j));
+      parse_place(j, stream.events.emplace_back());
     } else if (type == "repair_begin" || type == "repair_end") {
-      DecisionEvent e;
+      DecisionEvent& e = stream.events.emplace_back();
       e.kind = type == "repair_begin" ? DecisionEvent::Kind::RepairBegin
                                       : DecisionEvent::Kind::RepairEnd;
-      e.seq = static_cast<std::uint64_t>(j.at("seq").i64());
-      e.repair_misses = static_cast<std::uint64_t>(j.at("misses").i64());
+      e.seq = j.at("seq").u64();
+      e.repair_misses = j.at("misses").u64();
       e.repair_tardiness = j.at("tardiness").i64();
-      stream.events.push_back(std::move(e));
     } else if (type == "repair_move") {
-      stream.events.push_back(parse_move(j));
+      parse_move(j, stream.events.emplace_back());
     } else if (type == "final") {
       NOCEAS_REQUIRE(!stream.has_final, "decision stream: duplicate final record");
       stream.has_final = true;
-      stream.final = parse_final(j);
+      parse_final(j, stream.final);
     } else {
       NOCEAS_REQUIRE(false, "decision stream: unknown record type '" << type << '\'');
     }

@@ -54,10 +54,10 @@ namespace detail {
 
 /// Parses one deterministic outcome row (a manifest "runs" element or a
 /// shard row's "run" object).  Throws noceas::Error on missing keys.
-[[nodiscard]] RunOutcome parse_outcome_json(const json::Value& row);
+[[nodiscard]] RunOutcome parse_outcome_json(json::View row);
 
 /// Extracts the optional relative artifact paths from an outcome row.
-[[nodiscard]] ArtifactPaths parse_artifact_paths(const json::Value& row);
+[[nodiscard]] ArtifactPaths parse_artifact_paths(json::View row);
 
 }  // namespace detail
 

@@ -55,21 +55,21 @@ void write_spec_echo(std::ostream& os, const CampaignSpec& spec) {
   os << "],\"artifacts\":" << (spec.artifacts ? "true" : "false") << '}';
 }
 
-AppSpec parse_app_spec(const json::Value& a) {
+AppSpec parse_app_spec(json::View a) {
   AppSpec app;
-  const std::string& kind = a.at("kind").str;
+  const std::string_view kind = a.at("kind").str();
   if (kind == "tgff") {
     app.kind = AppSpec::Kind::Tgff;
     app.category = a.at("category").i32();
     app.index = a.at("index").i32();
   } else if (kind == "msb") {
     app.kind = AppSpec::Kind::Msb;
-    app.msb_app = a.at("app").str;
-    app.msb_clip = a.at("clip").str;
+    app.msb_app = a.at("app").str();
+    app.msb_clip = a.at("clip").str();
   } else {
     NOCEAS_REQUIRE(kind == "custom", "shard header: unknown app kind '" << kind << '\'');
     app.kind = AppSpec::Kind::Custom;
-    app.custom_name = a.at("name").str;
+    app.custom_name = a.at("name").str();
   }
   return app;
 }
@@ -152,22 +152,24 @@ ShardManifest read_shard_manifest(std::istream& is, bool lenient) {
   while (std::getline(is, line) && line.empty()) {
   }
   NOCEAS_REQUIRE(!line.empty(), "shard manifest: missing header line");
-  const json::Value header = json::parse(line, "shard header");
-  NOCEAS_REQUIRE(header.has("schema") && header.at("schema").str == "noceas.campaign.shard.v1",
+  json::Document doc;
+  doc.parse(line, "shard header");
+  const json::View header = doc.root();
+  NOCEAS_REQUIRE(header.has("schema") && header.at("schema").str() == "noceas.campaign.shard.v1",
                  "shard manifest: unknown schema");
-  m.fingerprint = header.at("fingerprint").str;
+  m.fingerprint = header.at("fingerprint").str();
   m.shard = static_cast<unsigned>(header.at("shard").i64());
   m.shards = static_cast<unsigned>(header.at("shards").i64());
-  m.total_units = static_cast<std::size_t>(header.at("units").i64());
-  m.profile = header.at("profile").b;
+  m.total_units = header.at("units").u64();
+  m.profile = header.at("profile").boolean();
 
-  const json::Value& spec = header.at("spec");
+  const json::View spec = header.at("spec");
   m.spec.seeds.clear();
   m.spec.schedulers.clear();
-  for (const json::Value& a : spec.at("apps").arr) m.spec.apps.push_back(parse_app_spec(a));
-  for (const json::Value& s : spec.at("seeds").arr) m.spec.seeds.push_back(s.u64());
-  for (const json::Value& s : spec.at("schedulers").arr) m.spec.schedulers.push_back(s.str);
-  m.spec.artifacts = spec.at("artifacts").b;
+  for (const json::View a : spec.at("apps")) m.spec.apps.push_back(parse_app_spec(a));
+  for (const json::View s : spec.at("seeds")) m.spec.seeds.push_back(s.u64());
+  for (const json::View s : spec.at("schedulers")) m.spec.schedulers.emplace_back(s.str());
+  m.spec.artifacts = spec.at("artifacts").boolean();
   m.spec.profile = m.profile;
   m.spec.shard_index = m.shard;
   m.spec.shard_count = m.shards;
@@ -175,15 +177,16 @@ ShardManifest read_shard_manifest(std::istream& is, bool lenient) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     try {
-      const json::Value j = json::parse(line, "shard row");
+      doc.parse(line, "shard row");
+      const json::View j = doc.root();
       ShardRow row;
-      row.unit = static_cast<std::size_t>(j.at("unit").i64());
+      row.unit = j.at("unit").u64();
       row.outcome = detail::parse_outcome_json(j.at("run"));
       if (j.has("hashes")) {
-        const json::Value& h = j.at("hashes");
-        row.hashes.metrics = h.at("metrics").str;
-        row.hashes.analysis = h.at("analysis").str;
-        row.hashes.decisions = h.at("decisions").str;
+        const json::View h = j.at("hashes");
+        row.hashes.metrics = h.at("metrics").str();
+        row.hashes.analysis = h.at("analysis").str();
+        row.hashes.decisions = h.at("decisions").str();
       }
       m.rows.push_back(std::move(row));
     } catch (const Error&) {
@@ -428,19 +431,20 @@ MergeReport merge_shards(const MergeOptions& options) {
     for (const auto& [index, shard] : by_index) {
       std::ifstream ris(std::filesystem::path(shard->dir) / "resources.json");
       if (!ris.good()) continue;
-      json::Value doc;
+      json::Document parsed;
       try {
-        doc = json::parse(slurp(ris), "resources");
+        parsed.parse(slurp(ris), "resources");
       } catch (const Error&) {
         continue;
       }
-      if (!doc.has("schema") || doc.at("schema").str != "noceas.campaign.resources.v2") continue;
+      const json::View doc = parsed.root();
+      if (!doc.has("schema") || doc.at("schema").str() != "noceas.campaign.resources.v2") continue;
       double wall = 0.0;
       double cpu = 0.0;
       std::uint64_t runs = 0;
-      for (const json::Value& r : doc.at("runs").arr) {
-        wall += r.at("wall_seconds").num;
-        cpu += r.at("cpu_seconds").num;
+      for (const json::View r : doc.at("runs")) {
+        wall += r.at("wall_seconds").num();
+        cpu += r.at("cpu_seconds").num();
         ++runs;
       }
       const std::int64_t peak = doc.at("peak_rss_kb").i64();

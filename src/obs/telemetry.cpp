@@ -35,6 +35,17 @@ std::string fmt(double v) {
   return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
 }
 
+/// Series values are doubles on the wire, in shortest form (100000 is
+/// written 1e+05), so counts read back through num() and a checked cast.
+template <typename T>
+T series_count(json::View v) {
+  const double x = v.num();
+  NOCEAS_REQUIRE(x >= -0x1p63 && x < 0x1p63, "timeseries sample: count out of range");
+  const auto n = static_cast<std::int64_t>(x);
+  NOCEAS_REQUIRE(std::in_range<T>(n), "timeseries sample: count out of range");
+  return static_cast<T>(n);
+}
+
 void write_string(std::ostream& os, const std::string& s) {
   os << '"';
   for (char c : s) {
@@ -303,26 +314,30 @@ StreamSummary summarize_stream(std::istream& in) {
   while (std::getline(in, line) && line.empty()) {
   }
   NOCEAS_REQUIRE(!line.empty(), "stream summarize: empty stream (no schema header)");
-  const json::Value header = json::parse(line, "stream header");
+  json::Document header_doc;
+  header_doc.parse(line, "stream header");
+  const json::View header = header_doc.root();
+  json::Document doc;  // reused for every following line
   NOCEAS_REQUIRE(header.has("schema"), "stream summarize: header line has no schema");
-  out.source_schema = header.at("schema").str;
+  out.source_schema = header.at("schema").str();
 
   if (out.source_schema == "noceas.timeseries.v1") {
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      const json::Value v = json::parse(line, "timeseries sample");
+      doc.parse(line, "timeseries sample");
+      const json::View v = doc.root();
       if (v.has("schema")) {
         // Segment boundary of a concatenated fleet stream: not a sample.
-        NOCEAS_REQUIRE(v.at("schema").str == out.source_schema,
+        NOCEAS_REQUIRE(v.at("schema").str() == out.source_schema,
                        "stream summarize: concatenated stream mixes schemas ('"
-                           << out.source_schema << "' then '" << v.at("schema").str << "')");
+                           << out.source_schema << "' then '" << v.at("schema").str() << "')");
         continue;
       }
       ++out.samples;
       if (!v.has("series")) continue;
-      for (const auto& [name, val] : v.at("series").obj) {
-        const double x = val.num;  // null reads back as NaN
-        SeriesStat& s = out.series[name];
+      for (const json::View val : v.at("series")) {
+        const double x = val.num();  // null reads back as NaN
+        SeriesStat& s = out.series[std::string(val.key())];
         if (std::isfinite(x)) {
           if (s.count == 0) {
             s.min = s.max = x;
@@ -344,28 +359,29 @@ StreamSummary summarize_stream(std::istream& in) {
     std::uint64_t finish_count = 0;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      const json::Value v = json::parse(line, "progress event");
+      doc.parse(line, "progress event");
+      const json::View v = doc.root();
       if (v.has("schema")) {
         // Segment boundary: totals add across shards, while the running
         // `done` counter and the ETA arming restart with the new segment.
-        NOCEAS_REQUIRE(v.at("schema").str == out.source_schema,
+        NOCEAS_REQUIRE(v.at("schema").str() == out.source_schema,
                        "stream summarize: concatenated stream mixes schemas ('"
-                           << out.source_schema << "' then '" << v.at("schema").str << "')");
+                           << out.source_schema << "' then '" << v.at("schema").str() << "')");
         out.total += v.has("total") ? v.at("total").u64() : 0;
         prev_done = 0;
         finish_count = 0;
         continue;
       }
-      const std::string ev = v.has("ev") ? v.at("ev").str : "";
+      const std::string_view ev = v.has("ev") ? v.at("ev").str() : std::string_view();
       if (ev == "start") {
         ++out.starts;
-        ++out.units[v.at("unit").str].starts;
+        ++out.units[std::string(v.at("unit").str())].starts;
       } else if (ev == "finish" || ev == "error") {
         ++out.finishes;
         ++finish_count;
-        UnitStat& u = out.units[v.at("unit").str];
+        UnitStat& u = out.units[std::string(v.at("unit").str())];
         ++u.finishes;
-        const bool unit_ok = v.has("ok") && v.at("ok").b;
+        const bool unit_ok = v.has("ok") && v.at("ok").boolean();
         if (unit_ok) {
           ++out.ok;
           ++u.ok;
@@ -377,7 +393,7 @@ StreamSummary summarize_stream(std::istream& in) {
           if (done < prev_done) out.done_monotone = false;
           prev_done = done;
         }
-        if (finish_count >= 2 && v.has("eta_ms") && !std::isfinite(v.at("eta_ms").num)) {
+        if (finish_count >= 2 && v.has("eta_ms") && !std::isfinite(v.at("eta_ms").num())) {
           out.eta_finite_after_second_finish = false;
         }
       } else if (ev == "stall") {
@@ -506,19 +522,23 @@ void write_timeline_html(std::ostream& os, const std::vector<TimelinePoint>& poi
 std::vector<TimelinePoint> read_timeline_points(std::istream& in) {
   std::vector<TimelinePoint> points;
   std::string line;
+  json::Document doc;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     try {
-      const json::Value v = json::parse(line, "timeseries sample");
+      doc.parse(line, "timeseries sample");
+      const json::View v = doc.root();
       if (!v.has("t_ms") || !v.has("series")) continue;  // header or foreign line
-      const json::Value& series = v.at("series");
+      const json::View series = v.at("series");
       TimelinePoint p;
-      p.t_ms = v.at("t_ms").num;
-      if (series.has("units.inflight")) p.inflight = series.at("units.inflight").i32();
-      if (series.has("units.done")) {
-        p.done = static_cast<std::size_t>(series.at("units.done").i64());
+      p.t_ms = v.at("t_ms").num();
+      if (series.has("units.inflight")) {
+        p.inflight = series_count<int>(series.at("units.inflight"));
       }
-      if (series.has("proc.rss_kb")) p.rss_kb = series.at("proc.rss_kb").i64();
+      if (series.has("units.done")) p.done = series_count<std::size_t>(series.at("units.done"));
+      if (series.has("proc.rss_kb")) {
+        p.rss_kb = series_count<std::int64_t>(series.at("proc.rss_kb"));
+      }
       points.push_back(p);
     } catch (const Error&) {
       continue;  // torn line of a killed shard: keep the healthy prefix
@@ -530,14 +550,16 @@ std::vector<TimelinePoint> read_timeline_points(std::istream& in) {
 std::vector<FleetStall> read_progress_stalls(std::istream& in) {
   std::vector<FleetStall> stalls;
   std::string line;
+  json::Document doc;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     try {
-      const json::Value v = json::parse(line, "progress event");
-      if (!v.has("ev") || v.at("ev").str != "stall") continue;
+      doc.parse(line, "progress event");
+      const json::View v = doc.root();
+      if (!v.has("ev") || v.at("ev").str() != "stall") continue;
       FleetStall s;
-      s.unit = v.at("unit").str;
-      if (v.has("t_ms")) s.t_ms = v.at("t_ms").num;
+      s.unit = v.at("unit").str();
+      if (v.has("t_ms")) s.t_ms = v.at("t_ms").num();
       stalls.push_back(std::move(s));
     } catch (const Error&) {
       continue;

@@ -3,7 +3,6 @@
 // determinism contract of multi-lane span merging.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,174 +14,10 @@
 #include "src/core/eas.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/util/json.hpp"
 
 namespace noceas {
 namespace {
-
-// ---- Minimal JSON parser (tests only) -------------------------------------
-// Just enough to round-trip what the obs layer emits: objects, arrays,
-// strings, numbers, booleans, null.  Throws std::runtime_error on malformed
-// input, which is exactly what the parse-back tests assert never happens.
-
-struct Json {
-  enum class Kind { Null, Bool, Num, Str, Arr, Obj };
-  Kind kind = Kind::Null;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
-
-  const Json& at(const std::string& key) const {
-    const auto it = obj.find(key);
-    if (it == obj.end()) throw std::runtime_error("missing key " + key);
-    return it->second;
-  }
-  bool has(const std::string& key) const { return obj.count(key) > 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (i_ != s_.size()) throw std::runtime_error("trailing garbage");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_]))) ++i_;
-  }
-  char peek() {
-    skip_ws();
-    if (i_ >= s_.size()) throw std::runtime_error("unexpected end");
-    return s_[i_];
-  }
-  void expect(char c) {
-    if (peek() != c) throw std::runtime_error(std::string("expected ") + c);
-    ++i_;
-  }
-  bool consume(char c) {
-    if (i_ < s_.size() && peek() == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string_value();
-      case 't':
-      case 'f': return boolean();
-      case 'n': return null_value();
-      default: return number();
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json v;
-    v.kind = Json::Kind::Obj;
-    if (consume('}')) return v;
-    do {
-      Json key = string_value();
-      expect(':');
-      v.obj[key.str] = value();
-    } while (consume(','));
-    expect('}');
-    return v;
-  }
-
-  Json array() {
-    expect('[');
-    Json v;
-    v.kind = Json::Kind::Arr;
-    if (consume(']')) return v;
-    do {
-      v.arr.push_back(value());
-    } while (consume(','));
-    expect(']');
-    return v;
-  }
-
-  Json string_value() {
-    expect('"');
-    Json v;
-    v.kind = Json::Kind::Str;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\') {
-        ++i_;
-        if (i_ >= s_.size()) throw std::runtime_error("bad escape");
-        switch (s_[i_]) {
-          case '"': v.str += '"'; break;
-          case '\\': v.str += '\\'; break;
-          case '/': v.str += '/'; break;
-          case 'n': v.str += '\n'; break;
-          case 'r': v.str += '\r'; break;
-          case 't': v.str += '\t'; break;
-          case 'u':
-            if (i_ + 4 >= s_.size()) throw std::runtime_error("bad \\u");
-            i_ += 4;  // control chars only in our output; value irrelevant
-            v.str += '?';
-            break;
-          default: throw std::runtime_error("bad escape char");
-        }
-        ++i_;
-      } else {
-        v.str += s_[i_++];
-      }
-    }
-    if (i_ >= s_.size()) throw std::runtime_error("unterminated string");
-    ++i_;  // closing quote
-    return v;
-  }
-
-  Json boolean() {
-    Json v;
-    v.kind = Json::Kind::Bool;
-    if (s_.compare(i_, 4, "true") == 0) {
-      v.b = true;
-      i_ += 4;
-    } else if (s_.compare(i_, 5, "false") == 0) {
-      v.b = false;
-      i_ += 5;
-    } else {
-      throw std::runtime_error("bad literal");
-    }
-    return v;
-  }
-
-  Json null_value() {
-    if (s_.compare(i_, 4, "null") != 0) throw std::runtime_error("bad literal");
-    i_ += 4;
-    return Json{};
-  }
-
-  Json number() {
-    const std::size_t start = i_;
-    while (i_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[i_])) || s_[i_] == '-' || s_[i_] == '+' ||
-            s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-    }
-    if (i_ == start) throw std::runtime_error("bad number");
-    Json v;
-    v.kind = Json::Kind::Num;
-    v.num = std::stod(s_.substr(start, i_ - start));
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
-
-Json parse_json(const std::string& text) { return JsonParser(text).parse(); }
 
 // ---- Metric semantics ------------------------------------------------------
 
@@ -302,15 +137,16 @@ TEST(Metrics, JsonParsesBack) {
   r.histogram("h", obs::exp_buckets(1.0, 2.0, 12), "ns").observe(3.0);
   std::ostringstream os;
   r.write_json(os);
-  const Json doc = parse_json(os.str());
-  EXPECT_EQ(doc.at("schema").str, "noceas.metrics.v1.2");
-  EXPECT_EQ(doc.at("counters").at("a.b").at("value").num, 1.0);
-  EXPECT_EQ(doc.at("gauges").at("weird \"name\"\n").at("value").num, -2.25);
-  const Json& h = doc.at("histograms").at("h");
-  EXPECT_EQ(h.at("count").num, 1.0);
-  EXPECT_EQ(h.at("mean").num, 3.0);
-  EXPECT_EQ(h.at("buckets").arr.size(), 13u);  // 12 bounds + overflow
-  EXPECT_EQ(h.at("buckets").arr.back().at("le").str, "+inf");
+  const json::Document parsed = json::parse(os.str());
+  const json::View doc = parsed.root();
+  EXPECT_EQ(doc.at("schema").str(), "noceas.metrics.v1.2");
+  EXPECT_EQ(doc.at("counters").at("a.b").at("value").num(), 1.0);
+  EXPECT_EQ(doc.at("gauges").at("weird \"name\"\n").at("value").num(), -2.25);
+  const json::View h = doc.at("histograms").at("h");
+  EXPECT_EQ(h.at("count").num(), 1.0);
+  EXPECT_EQ(h.at("mean").num(), 3.0);
+  ASSERT_EQ(h.at("buckets").size(), 13u);  // 12 bounds + overflow
+  EXPECT_EQ(h.at("buckets")[12].at("le").str(), "+inf");
 }
 
 // ---- Tracer ----------------------------------------------------------------
@@ -386,34 +222,35 @@ TEST(Trace, ChromeJsonParsesBack) {
   }
   std::ostringstream os;
   tracer.write_chrome_json(os);
-  const Json doc = parse_json(os.str());
+  const json::Document parsed = json::parse(os.str());
+  const json::View doc = parsed.root();
 
-  const auto& events = doc.at("traceEvents").arr;
+  const json::View events = doc.at("traceEvents");
   ASSERT_GE(events.size(), 3u);  // thread_name metadata + span + instant
   bool saw_meta = false, saw_span = false, saw_instant = false;
-  for (const Json& e : events) {
-    const std::string ph = e.at("ph").str;
+  for (const json::View e : events) {
+    const std::string_view ph = e.at("ph").str();
     EXPECT_TRUE(e.has("pid"));
     EXPECT_TRUE(e.has("tid"));
     if (ph == "M") {
       saw_meta = true;
-      EXPECT_EQ(e.at("name").str, "thread_name");
+      EXPECT_EQ(e.at("name").str(), "thread_name");
     } else if (ph == "X") {
       saw_span = true;
-      EXPECT_EQ(e.at("name").str, "work");
+      EXPECT_EQ(e.at("name").str(), "work");
       EXPECT_TRUE(e.has("dur"));
-      EXPECT_EQ(e.at("args").at("n").num, 2.0);
-      EXPECT_EQ(e.at("args").at("ratio").num, 0.5);
-      EXPECT_EQ(e.at("args").at("who").str, "me");
+      EXPECT_EQ(e.at("args").at("n").num(), 2.0);
+      EXPECT_EQ(e.at("args").at("ratio").num(), 0.5);
+      EXPECT_EQ(e.at("args").at("who").str(), "me");
     } else if (ph == "i") {
       saw_instant = true;
-      EXPECT_EQ(e.at("s").str, "t");
+      EXPECT_EQ(e.at("s").str(), "t");
     }
   }
   EXPECT_TRUE(saw_meta);
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_instant);
-  EXPECT_EQ(doc.at("otherData").at("schema").str, "noceas.trace.v1");
+  EXPECT_EQ(doc.at("otherData").at("schema").str(), "noceas.trace.v1");
 }
 
 /// Non-finite double args must serialize as null, not as bare inf/nan
@@ -423,10 +260,10 @@ TEST(Trace, NonFiniteArgsSerializeAsNull) {
   tracer.instant("e", {obs::Arg("inf", std::numeric_limits<double>::infinity())});
   std::ostringstream os;
   tracer.write_chrome_json(os);
-  const Json doc = parse_json(os.str());  // throws on bare inf
-  for (const Json& e : doc.at("traceEvents").arr) {
-    if (e.at("ph").str == "i") {
-      EXPECT_EQ(e.at("args").at("inf").kind, Json::Kind::Null);
+  const json::Document parsed = json::parse(os.str());  // throws on bare inf
+  for (const json::View e : parsed.root().at("traceEvents")) {
+    if (e.at("ph").str() == "i") {
+      EXPECT_EQ(e.at("args").at("inf").kind(), json::Kind::Null);
     }
   }
 }

@@ -20,8 +20,9 @@ record stores them as profile_self_ms next to bench_ms; check uses them to
 attribute a timing regression to the span whose exclusive self time grew
 the most (the report row gains a suspect_span object).  Benchmarks that
 export throughput counters ("*_per_s", e.g. BM_CampaignMerge's merged
-units_per_s) get those recorded as bench_rates in the baseline and every
-trajectory entry, so fleet-path throughput is tracked like scheduler
+units_per_s, or the mb_per_s of BM_DecisionStream_Write/_Read) get those
+recorded as bench_rates in the baseline and every trajectory entry, so
+fleet-path and serialization throughput are tracked like scheduler
 timings.
 tools/perf_report.py renders the accumulated trajectory as an HTML
 dashboard.

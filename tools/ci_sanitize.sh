@@ -3,7 +3,10 @@
 #
 # Builds the full test suite twice under NOCEAS_SANITIZE and runs tier-1
 # ctest under each instrumentation:
-#   1. address,undefined — whole suite (memory errors, UB in the schedulers)
+#   1. address,undefined — whole suite (memory errors, UB in the schedulers),
+#                          including the seeded parser mutation fuzz
+#                          (ParserFuzz in tests/json_test.cpp), since the
+#                          JSON reader walks raw pointers
 #   2. thread            — the probe/thread-pool/obs tests, which exercise
 #                          the parallel F(i,k) evaluation path of ProbeEngine
 #                          and multi-lane trace emission
