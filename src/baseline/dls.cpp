@@ -13,6 +13,7 @@ namespace noceas {
 
 BaselineResult schedule_dls(const TaskGraph& g, const Platform& p, const BaselineObs& obs) {
   NOCEAS_REQUIRE(g.num_pes() == p.num_pes(), "CTG/platform PE count mismatch");
+  require_time_horizon(g, p);
   const auto t0 = std::chrono::steady_clock::now();
   obs::Tracer* const tr = obs.tracer;
   OBS_SPAN(tr, "dls.schedule", {obs::Arg("tasks", g.num_tasks()), obs::Arg("pes", p.num_pes())});

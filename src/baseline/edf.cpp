@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "src/core/list_common.hpp"
 #include "src/core/obs_export.hpp"
@@ -14,6 +16,7 @@ namespace noceas {
 
 BaselineResult schedule_edf(const TaskGraph& g, const Platform& p, const BaselineObs& obs) {
   NOCEAS_REQUIRE(g.num_pes() == p.num_pes(), "CTG/platform PE count mismatch");
+  require_time_horizon(g, p);
   const auto t0 = std::chrono::steady_clock::now();
   obs::Tracer* const tr = obs.tracer;
   OBS_SPAN(tr, "edf.schedule", {obs::Arg("tasks", g.num_tasks()), obs::Arg("pes", p.num_pes())});
@@ -26,6 +29,7 @@ BaselineResult schedule_edf(const TaskGraph& g, const Platform& p, const Baselin
   Schedule s(g.num_tasks(), g.num_edges());
   ResourceTables tables(p);
   TentativeTables scratch(tables);  // reused probe overlay; tables stay const
+  CommScratch comm_scratch;         // reused Fig. 3 buffers
   ProbeStats stats;
 
   std::vector<std::size_t> unplaced_preds(g.num_tasks());
@@ -48,7 +52,9 @@ BaselineResult schedule_edf(const TaskGraph& g, const Platform& p, const Baselin
   std::vector<Energy> energy_memo(P);
 
   std::vector<TaskId> ready_snapshot;  // provenance only; empty when no log
-  std::vector<Time> finishes(P);
+  std::vector<Time> finishes(P);                       // kUnsetTime = pruned
+  std::vector<std::pair<Time, std::uint32_t>> bounds;  // (lower bound, PE id)
+  bounds.reserve(P);
   std::size_t placed = 0;
   while (placed < g.num_tasks()) {
     NOCEAS_REQUIRE(!ready.empty(), "no ready task but unplaced tasks remain (cycle?)");
@@ -81,19 +87,31 @@ BaselineResult schedule_edf(const TaskGraph& g, const Platform& p, const Baselin
       return memo;
     };
 
-    // Earliest finish time over all PEs; ties towards lower energy, then id.
-    // Energy only ever breaks exact finish-time ties, so it is evaluated
-    // lazily instead of rescanning all in-edges for every candidate PE.
+    // Earliest finish time over all PEs; ties towards lower energy, then id:
+    // the lexicographic (F, E, id) minimum.  Energy only ever breaks exact
+    // finish-time ties, so it is evaluated lazily.  PEs are probed in
+    // ascending (bound, id) order and the scan stops at the first bound
+    // above the best exact finish: finish_lower_bound() never exceeds F(i,k),
+    // so no PE left unprobed can reach the minimum.
+    bounds.clear();
+    for (PeId k : p.all_pes()) {
+      bounds.emplace_back(finish_lower_bound(g, p, t, k, s, tables),
+                          static_cast<std::uint32_t>(k.index()));
+    }
+    std::sort(bounds.begin(), bounds.end());
     PeId best_pe;
     Time best_f = std::numeric_limits<Time>::max();
-    for (PeId k : p.all_pes()) {
-      const ProbeResult pr = probe_placement(g, p, t, k, s, tables, scratch);
+    std::fill(finishes.begin(), finishes.end(), kUnsetTime);
+    for (const auto& [bound, id] : bounds) {
+      if (bound > best_f) break;
+      const PeId k{static_cast<std::size_t>(id)};
+      const Time finish = probe_placement(g, p, t, k, s, tables, scratch, comm_scratch).finish;
       ++stats.probes_issued;
-      if (dlog != nullptr) finishes[k.index()] = pr.finish;
-      if (pr.finish < best_f) {
-        best_f = pr.finish;
-        best_pe = k;
-      } else if (pr.finish == best_f && energy_of(k) < energy_of(best_pe)) {
+      finishes[k.index()] = finish;
+      if (finish < best_f ||
+          (finish == best_f && (energy_of(k) < energy_of(best_pe) ||
+                                (energy_of(k) == energy_of(best_pe) && k < best_pe)))) {
+        best_f = finish;
         best_pe = k;
       }
     }
@@ -101,6 +119,16 @@ BaselineResult schedule_edf(const TaskGraph& g, const Platform& p, const Baselin
                 obs::Arg("finish", best_f),
                 obs::Arg("eff_deadline",
                          eff_deadline[t.index()] == kNoDeadline ? -1 : eff_deadline[t.index()]));
+    if (dlog != nullptr) {
+      // The log documents the whole row: fill the pruned finishes against
+      // the tables the decision saw.  These observer probes are not counted.
+      for (PeId k : p.all_pes()) {
+        if (finishes[k.index()] == kUnsetTime) {
+          finishes[k.index()] =
+              probe_placement(g, p, t, k, s, tables, scratch, comm_scratch).finish;
+        }
+      }
+    }
     commit_placement(g, p, t, best_pe, s, tables);
     ++placed;
 

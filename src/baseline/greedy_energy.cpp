@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "src/core/list_common.hpp"
 #include "src/core/obs_export.hpp"
@@ -13,6 +15,7 @@ namespace noceas {
 BaselineResult schedule_greedy_energy(const TaskGraph& g, const Platform& p,
                                       const BaselineObs& obs) {
   NOCEAS_REQUIRE(g.num_pes() == p.num_pes(), "CTG/platform PE count mismatch");
+  require_time_horizon(g, p);
   const auto t0 = std::chrono::steady_clock::now();
   obs::Tracer* const tr = obs.tracer;
   OBS_SPAN(tr, "greedy.schedule",
@@ -21,12 +24,15 @@ BaselineResult schedule_greedy_energy(const TaskGraph& g, const Platform& p,
   Schedule s(g.num_tasks(), g.num_edges());
   ResourceTables tables(p);
   TentativeTables scratch(tables);  // reused probe overlay; tables stay const
+  CommScratch comm_scratch;         // reused Fig. 3 buffers
   ProbeStats stats;
   audit::DecisionLog* const dlog = obs.decisions;
   if (dlog != nullptr) dlog->begin_run("greedy", g.num_tasks(), g.num_edges(), p.num_pes());
   std::vector<TaskId> ready_snapshot;  // provenance only; empty when no log
-  std::vector<Time> finishes(p.num_pes());
+  std::vector<Time> finishes(p.num_pes());  // kUnsetTime = not probed
   std::vector<Energy> energies(p.num_pes());
+  std::vector<std::pair<Energy, std::uint32_t>> by_energy;  // (energy, PE id)
+  by_energy.reserve(p.num_pes());
 
   std::vector<std::size_t> unplaced_preds(g.num_tasks());
   ReadyList ready;
@@ -44,27 +50,48 @@ BaselineResult schedule_greedy_energy(const TaskGraph& g, const Platform& p,
     if (dlog != nullptr) ready_snapshot = ready.items();
     ready.erase_at(0);
 
-    PeId best_pe;
-    Energy best_e = std::numeric_limits<Energy>::infinity();
-    Time best_f = std::numeric_limits<Time>::max();
+    // Minimum energy, ties towards earlier finish, then lower id: the
+    // lexicographic (E, F, id) minimum.  Finish only breaks ties inside the
+    // minimum-energy group, so only that group is probed, and a group of
+    // one needs no probe at all.
+    by_energy.clear();
     for (PeId k : p.all_pes()) {
-      const Energy e = placement_energy(g, p, t, k, s);
-      const ProbeResult pr = probe_placement(g, p, t, k, s, tables, scratch);
-      ++stats.probes_issued;
-      if (dlog != nullptr) {
-        finishes[k.index()] = pr.finish;
-        energies[k.index()] = e;
-      }
-      if (e < best_e || (e == best_e && pr.finish < best_f)) {
-        best_e = e;
-        best_f = pr.finish;
-        best_pe = k;
+      energies[k.index()] = placement_energy(g, p, t, k, s);
+      by_energy.emplace_back(energies[k.index()], static_cast<std::uint32_t>(k.index()));
+    }
+    std::sort(by_energy.begin(), by_energy.end());
+    std::size_t group = 1;
+    while (group < by_energy.size() && by_energy[group].first == by_energy[0].first) ++group;
+    std::fill(finishes.begin(), finishes.end(), kUnsetTime);
+    PeId best_pe{static_cast<std::size_t>(by_energy[0].second)};
+    if (group > 1) {
+      Time best_f = std::numeric_limits<Time>::max();
+      for (std::size_t i = 0; i < group; ++i) {  // ascending id within the group
+        const PeId k{static_cast<std::size_t>(by_energy[i].second)};
+        const Time finish = probe_placement(g, p, t, k, s, tables, scratch, comm_scratch).finish;
+        ++stats.probes_issued;
+        finishes[k.index()] = finish;
+        if (finish < best_f) {
+          best_f = finish;
+          best_pe = k;
+        }
       }
     }
-    OBS_INSTANT(tr, "greedy.decision", obs::Arg("task", t.value), obs::Arg("pe", best_pe.value),
-                obs::Arg("energy", best_e), obs::Arg("finish", best_f));
+    if (dlog != nullptr) {
+      // The log documents the whole row: fill the unprobed finishes against
+      // the tables the decision saw.  These observer probes are not counted.
+      for (PeId k : p.all_pes()) {
+        if (finishes[k.index()] == kUnsetTime) {
+          finishes[k.index()] =
+              probe_placement(g, p, t, k, s, tables, scratch, comm_scratch).finish;
+        }
+      }
+    }
     commit_placement(g, p, t, best_pe, s, tables);
     ++placed;
+    OBS_INSTANT(tr, "greedy.decision", obs::Arg("task", t.value), obs::Arg("pe", best_pe.value),
+                obs::Arg("energy", energies[best_pe.index()]),
+                obs::Arg("finish", s.at(t).finish));
 
     if (dlog != nullptr) {
       audit::PlacementDecision d =

@@ -53,6 +53,7 @@ Energy move_delta(const TaskGraph& g, const Platform& p, const std::vector<PeId>
 MapScheduleResult schedule_map_then_list(const TaskGraph& g, const Platform& p,
                                          const MapScheduleOptions& options) {
   NOCEAS_REQUIRE(g.num_pes() == p.num_pes(), "CTG/platform PE count mismatch");
+  require_time_horizon(g, p);
   NOCEAS_REQUIRE(options.load_cap_factor >= 1.0, "load cap must be >= 1");
   const auto t0 = std::chrono::steady_clock::now();
   obs::Tracer* const tr = options.obs.tracer;

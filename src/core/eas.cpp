@@ -59,8 +59,15 @@ Schedule level_based_schedule(const TaskGraph& g, const Platform& p, const std::
   // runs instead (bit-identical schedules either way, see below).
   const bool lazy_probes = options.tracer == nullptr && options.metrics == nullptr &&
                            options.decisions == nullptr && !options.force_eager_probes;
+  // Lazy-scan scratch: each task's PE order by (energy, id), sorted the
+  // first time the task is scanned; the current task's memoized bounds.
+  std::vector<std::uint32_t> pe_order(lazy_probes ? n * P : 0);
+  std::vector<bool> ordered(lazy_probes ? n : 0, false);
+  std::vector<Time> bound(P);
   std::vector<std::pair<Energy, std::uint32_t>> pe_by_energy;
+  std::vector<std::pair<Time, std::uint32_t>> by_bound;
   pe_by_energy.reserve(P);
+  by_bound.reserve(P);
 
   std::size_t placed = 0;
   while (placed < n) {
@@ -93,17 +100,34 @@ Schedule level_based_schedule(const TaskGraph& g, const Platform& p, const std::
         // Lazy probing: the selection rule reads (a) which PEs are feasible
         // up to the *second* feasible one (E1/E2 and the regret), (b) exact
         // finishes only for ties inside the minimum-energy feasible group,
-        // and (c) the full F row only when the task is over budget on every
-        // PE.  Energies are memoized and never stale, so PEs are scanned in
-        // ascending (energy, id) order and F(i,k) is materialised on
-        // demand.  Every value consumed is exact, so decisions — and thus
-        // schedules — are bit-identical to the eager batch path.
-        pe_by_energy.clear();
-        for (std::size_t k = 0; k < P; ++k) {
-          pe_by_energy.emplace_back(engine.energy(t, PeId{k}, s),
-                                    static_cast<std::uint32_t>(k));
+        // and (c) the argmin of the F row only when the task is over budget
+        // on every PE.  Energies are memoized and never stale, so each
+        // task's PEs are sorted by (energy, id) once, the first time it is
+        // scanned, and F(i,k) is materialised on demand.  A PE whose
+        // finish_lower_bound() is above BD_i is infeasible without a probe.
+        // Every value consumed is exact, so decisions — and thus schedules
+        // — are bit-identical to the eager batch path.
+        std::uint32_t* const order = &pe_order[t.index() * P];
+        if (!ordered[t.index()]) {
+          pe_by_energy.clear();
+          for (std::size_t k = 0; k < P; ++k) {
+            pe_by_energy.emplace_back(engine.energy(t, PeId{k}, s),
+                                      static_cast<std::uint32_t>(k));
+          }
+          std::sort(pe_by_energy.begin(), pe_by_energy.end());
+          for (std::size_t i = 0; i < P; ++i) order[i] = pe_by_energy[i].second;
+          ordered[t.index()] = true;
         }
-        std::sort(pe_by_energy.begin(), pe_by_energy.end());
+        const auto pe_at = [&](std::size_t i) {
+          return PeId{static_cast<std::size_t>(order[i])};
+        };
+        const auto energy_at = [&](std::size_t i) { return engine.energy(t, pe_at(i), s); };
+        std::fill(bound.begin(), bound.end(), kUnsetTime);
+        const auto bound_of = [&](PeId k) {
+          Time& b = bound[k.index()];
+          if (b == kUnsetTime) b = finish_lower_bound(g, p, t, k, s, tables);
+          return b;
+        };
 
         double e1 = kInf, e2 = kInf;
         PeId best_pe;
@@ -111,23 +135,24 @@ Schedule level_based_schedule(const TaskGraph& g, const Platform& p, const std::
         int feasible = 0;
         for (std::size_t gi = 0; gi < P && feasible < 2;) {
           std::size_t ge = gi + 1;  // [gi, ge) = one equal-energy group
-          while (ge < P && pe_by_energy[ge].first == pe_by_energy[gi].first) ++ge;
+          while (ge < P && energy_at(ge) == energy_at(gi)) ++ge;
           if (feasible == 0) {
             // May contain E1: resolve the whole group, with exact finishes
             // for the (e == e1, finish) tie-break.  A group with a single
             // member and no budget needs no probe at all — it is feasible
             // by definition and nothing ties against it.
             for (std::size_t i = gi; i < ge; ++i) {
-              const PeId k{static_cast<std::size_t>(pe_by_energy[i].second)};
+              const PeId k = pe_at(i);
               if (budget == kNoDeadline && ge - gi == 1) {
-                e1 = pe_by_energy[i].first;
+                e1 = energy_at(i);
                 best_pe = k;
                 ++feasible;
                 break;
               }
+              if (budget != kNoDeadline && bound_of(k) > budget) continue;
               const Time finish = engine.fresh(t, k, s).finish;
               if (budget != kNoDeadline && finish > budget) continue;
-              const Energy e = pe_by_energy[i].first;
+              const Energy e = energy_at(i);
               if (e < e1 || (e == e1 && finish < best_f)) {
                 e2 = e1;
                 e1 = e;
@@ -143,9 +168,12 @@ Schedule level_based_schedule(const TaskGraph& g, const Platform& p, const std::
             // E1 is fixed (this group's energy is strictly larger): the
             // first feasible member closes E2 and the scan.
             for (std::size_t i = gi; i < ge; ++i) {
-              const PeId k{static_cast<std::size_t>(pe_by_energy[i].second)};
-              if (budget != kNoDeadline && engine.fresh(t, k, s).finish > budget) continue;
-              e2 = pe_by_energy[i].first;
+              const PeId k = pe_at(i);
+              if (budget != kNoDeadline &&
+                  (bound_of(k) > budget || engine.fresh(t, k, s).finish > budget)) {
+                continue;
+              }
+              e2 = energy_at(i);
               ++feasible;
               break;
             }
@@ -154,14 +182,23 @@ Schedule level_based_schedule(const TaskGraph& g, const Platform& p, const std::
         }
 
         if (feasible == 0) {
-          // Over budget on every PE (proved by the fresh probes above):
-          // urgency mode candidate (paper Step 2.3), needs the exact row.
-          Time min_f = std::numeric_limits<Time>::max();
+          // Over budget on every PE: urgency mode candidate (paper Step
+          // 2.3), which needs the (F, id)-minimum of the row.  PEs are
+          // probed in ascending (bound, id) order until a bound exceeds the
+          // best exact finish; no PE left unprobed can reach the minimum.
+          by_bound.clear();
           for (std::size_t k = 0; k < P; ++k) {
-            const Time finish = engine.fresh(t, PeId{k}, s).finish;
-            if (finish < min_f) {
+            by_bound.emplace_back(bound_of(PeId{k}), static_cast<std::uint32_t>(k));
+          }
+          std::sort(by_bound.begin(), by_bound.end());
+          Time min_f = std::numeric_limits<Time>::max();
+          for (const auto& [b, id] : by_bound) {
+            if (b > min_f) break;
+            const PeId k{static_cast<std::size_t>(id)};
+            const Time finish = engine.fresh(t, k, s).finish;
+            if (finish < min_f || (finish == min_f && k < c.urgent_pe)) {
               min_f = finish;
-              c.urgent_pe = PeId{k};
+              c.urgent_pe = k;
             }
           }
           c.min_finish = min_f;
@@ -328,6 +365,7 @@ void tighten_budgets(const TaskGraph& g, const Schedule& s, const MissReport& mi
 EasResult schedule_eas(const TaskGraph& g, const Platform& p, const EasOptions& options) {
   NOCEAS_REQUIRE(g.num_pes() == p.num_pes(),
                  "CTG characterized for " << g.num_pes() << " PEs, platform has " << p.num_pes());
+  require_time_horizon(g, p);
   const auto t0 = std::chrono::steady_clock::now();
   OBS_SPAN(options.tracer, "eas.schedule",
            {obs::Arg("tasks", g.num_tasks()), obs::Arg("pes", p.num_pes())});

@@ -34,6 +34,51 @@ ProbeResult probe_placement(const TaskGraph& g, const Platform& p, TaskId task, 
   return probe_placement(g, p, task, pe, schedule, tables, scratch);
 }
 
+Time finish_lower_bound(const TaskGraph& g, const Platform& p, TaskId task, PeId pe,
+                        const Schedule& schedule, const ResourceTables& tables) {
+  const Task& tk = g.task(task);
+  Time drt = tk.release;
+  for (EdgeId e : g.in_edges(task)) {
+    const CommEdge& edge = g.edge(e);
+    const TaskPlacement& sender = schedule.tasks[edge.src.index()];
+    const Duration dur = edge.is_control_only() ? 0 : p.transfer_time(edge.volume, sender.pe, pe);
+    drt = std::max(drt, sender.finish + dur);
+  }
+  const Duration exec = tk.exec_time[pe.index()];
+  return tables.pe[pe.index()].earliest_fit(drt, exec) + exec;
+}
+
+void require_time_horizon(const TaskGraph& g, const Platform& p) {
+  Time horizon = 0;
+  const auto extend = [&](Duration d, const char* what) {
+    NOCEAS_REQUIRE(!__builtin_add_overflow(horizon, d, &horizon),
+                   "time horizon overflows the 64-bit time type at " << what);
+  };
+  for (TaskId t : g.all_tasks()) horizon = std::max(horizon, g.task(t).release);
+  for (TaskId t : g.all_tasks()) {
+    const std::vector<Duration>& times = g.task(t).exec_time;
+    extend(*std::max_element(times.begin(), times.end()), "execution times");
+  }
+  Duration guard = 0;  // longest route, added to every pipeline-guarded transfer
+  if (p.pipeline_guard()) {
+    for (PeId a : p.all_pes()) {
+      for (PeId b : p.all_pes()) {
+        guard = std::max(guard, static_cast<Duration>(p.route(a, b).size()));
+      }
+    }
+  }
+  for (EdgeId e : g.all_edges()) {
+    const CommEdge& edge = g.edge(e);
+    if (edge.is_control_only()) continue;
+    // Range-check the tick count before transfer_duration() converts it.
+    const double ticks = static_cast<double>(edge.volume) / p.route_bandwidth();
+    NOCEAS_REQUIRE(ticks < 0x1p62,
+                   "transfer of " << edge.volume << " bits overflows the 64-bit time type");
+    const Duration d = transfer_duration(edge.volume, p.route_bandwidth());
+    extend(d > 0 ? d + guard : 0, "transfer times");
+  }
+}
+
 void commit_placement(const TaskGraph& g, const Platform& p, TaskId task, PeId pe,
                       Schedule& schedule, ResourceTables& tables) {
   NOCEAS_REQUIRE(!schedule.tasks[task.index()].placed(),

@@ -59,6 +59,26 @@ struct ProbeResult {
                                           PeId pe, const Schedule& schedule,
                                           const ResourceTables& tables);
 
+/// Contention-free lower bound on F(i,k): the finish `task` would reach on
+/// `pe` if every incoming transaction left the moment its sender finished,
+///   DRT_lb = max(release, max over in-edges of sender.finish + transfer_time)
+/// (control-only edges transfer in 0), placed in the earliest gap of the
+/// current PE table.  Sound because every Fig. 3 transaction starts no
+/// earlier than its sender's finish (so DRT_lb <= DRT(i,k)) and earliest_fit
+/// is monotone in its not_before argument on a fixed table.  Reads no link
+/// table, so it costs a fraction of probe_placement(); rules that consume
+/// only part of a row use it to skip probes that cannot matter.
+[[nodiscard]] Time finish_lower_bound(const TaskGraph& g, const Platform& p, TaskId task, PeId pe,
+                                      const Schedule& schedule, const ResourceTables& tables);
+
+/// Throws noceas::Error unless every finish a list schedule of `g` on `p`
+/// can reach fits in Time.  The checked horizon is
+///   max release + sum of max exec times + sum of max transfer times,
+/// which bounds every task finish, transaction end, probe and lower bound,
+/// since each commit extends the latest occupied instant by at most its own
+/// duration.  Every scheduler entry calls it before touching a table.
+void require_time_horizon(const TaskGraph& g, const Platform& p);
+
 /// Commits `task` to `pe`: schedules its receiving transactions for real,
 /// reserves the PE slot, and records both in `schedule`.
 /// Deterministic: produces exactly the timing probe_placement() reported.
@@ -103,7 +123,7 @@ void commit_placement(const TaskGraph& g, const Platform& p, TaskId task, PeId p
 /// Instrumentation of the probe path (surfaced in EasResult/BaselineResult
 /// so benches can report cache hit rates).
 struct ProbeStats {
-  std::uint64_t probes_issued = 0;     ///< F(i,k) evaluations actually run
+  std::uint64_t probes_issued = 0;     ///< F(i,k) evaluations the rule used
   std::uint64_t cache_hits = 0;        ///< served from a fresh cache entry
   std::uint64_t invalidations = 0;     ///< cached entries found stale
   std::uint64_t parallel_batches = 0;  ///< stale batches sent to the pool

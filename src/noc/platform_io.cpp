@@ -1,10 +1,12 @@
 #include "src/noc/platform_io.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace noceas {
 
@@ -48,6 +50,12 @@ Platform read_platform(std::istream& is) {
   NOCEAS_REQUIRE(tag == "platform" && !line.fail(),
                  "expected 'platform <rows> <cols> <bw> <XY|YX> <torus> <guard> "
                  "<e_sbit> <e_lbit> <e_bbit>'");
+  const std::pair<const char*, Energy> energies[] = {
+      {"e_sbit", energy.e_sbit}, {"e_lbit", energy.e_lbit}, {"e_bbit", energy.e_bbit}};
+  for (const auto& [name, value] : energies) {
+    NOCEAS_REQUIRE(std::isfinite(value) && value >= 0.0,
+                   "platform " << name << " must be a finite energy >= 0, got " << value);
+  }
   RoutingAlgorithm algo;
   if (routing_tok == "XY") {
     algo = RoutingAlgorithm::XY;

@@ -53,6 +53,9 @@ expect 2 "campaign without apps" "$cli" campaign --out "$tmp/camp"
 # --- exit 1: run failed -------------------------------------------------
 expect 1 "unreadable ctg" \
   "$cli" schedule --ctg "$tmp/missing.txt" --platform "$tmp/p.txt"
+awk '$1 == "platform" { $8 = "-1" } { print }' "$tmp/p.txt" > "$tmp/neg_energy.txt"
+expect 1 "platform with a negative bit energy" \
+  "$cli" schedule --ctg "$tmp/g.txt" --platform "$tmp/neg_energy.txt"
 expect 1 "campaign with unknown scheduler" \
   "$cli" campaign --out "$tmp/camp" --categories 1 --schedulers frobnicate
 

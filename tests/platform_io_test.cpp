@@ -60,6 +60,17 @@ TEST(PlatformIo, RejectsMalformedInput) {
   EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 1 1 0\n"), Error);
 }
 
+TEST(PlatformIo, RejectsNegativeOrNonFiniteEnergies) {
+  const std::string tiles = "tiles A B C D\n";
+  EXPECT_NO_THROW(platform_from_string("platform 2 2 32 XY 0 0 0 0 0\n" + tiles));
+  EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 -0.001 0.002 0\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 0.001 -1e-9 0\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 0.001 0.002 -5\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 nan 0.002 0\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 0.001 inf 0\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 0.001 0.002 1e999\n" + tiles), Error);
+}
+
 TEST(PlatformIo, GraphTopologyPlatformsHaveNoSpec) {
   const GraphTopology honey = make_honeycomb(2, 2);
   std::vector<PeDesc> pes;

@@ -51,9 +51,10 @@
 #   - observability smoke gate (plain build): an attached tracer — and the
 #     span-profiler spine — must leave schedules bit-identical and cost
 #     < 5% runtime against an identically-probing reference
-#   - perf-baseline gates: tools/bench_compare.py check — hard on all four
-#     repair hot-path benches (BM_EasFull_MissBenchmarks/0-3), soft
-#     elsewhere; regressions are attributed to the span whose self time grew
+#   - perf-baseline gates: tools/bench_compare.py check — hard on the four
+#     repair hot-path benches (BM_EasFull_MissBenchmarks/0-3) and the four
+#     bound-pruned EDF benches (BM_Edf_MissBenchmarks/0-3), soft elsewhere;
+#     regressions are attributed to the span whose self time grew
 #
 # Usage: tools/ci_sanitize.sh [build-dir-prefix]   (default: build-san)
 set -euo pipefail
@@ -474,17 +475,19 @@ echo "==> [obs-smoke] running"
 "$smoke"/bench/runtime_scaling --obs-smoke
 
 # Perf-baseline gates: compare against bench/baselines/*.json.
-#  - Hard gate on all four repair hot-path benchmarks (the 10x win this
-#    library promises): a regression on any BM_EasFull_MissBenchmarks/0-3
-#    fails CI when the environment fingerprint matches the baseline's
+#  - Hard gate on the four repair hot-path benchmarks (the 10x win this
+#    library promises) and the four EDF benchmarks (bound-pruned probing,
+#    DESIGN.md §11.5): a regression on any BM_EasFull_MissBenchmarks/0-3 or
+#    BM_Edf_MissBenchmarks/0-3 fails CI when the environment fingerprint
+#    matches the baseline's
 #    (check exits 0, "not gated", on foreign hardware).  A regression row
 #    names the span whose self time grew (the bench exports per-phase
 #    self_ms counters).
 #  - Soft gate over the full suite — timings on shared CI boxes are too
 #    noisy to block on wholesale.
-echo "==> [bench-compare] hard gate on the repair hot path"
+echo "==> [bench-compare] hard gate on the repair hot path and EDF"
 python3 tools/bench_compare.py check --build-dir "$smoke" \
-  --filter 'BM_EasFull_MissBenchmarks/(0|1|2|3)$'
+  --filter 'BM_(EasFull|Edf)_MissBenchmarks/(0|1|2|3)$'
 echo "==> [bench-compare] soft gate (full suite)"
 python3 tools/bench_compare.py check --build-dir "$smoke" \
   || echo "warn: bench_compare flagged a regression (soft gate, not failing CI)"
