@@ -29,6 +29,8 @@
 #include "src/campaign/shard.hpp"
 #include "src/core/eas.hpp"
 #include "src/core/obs_export.hpp"
+#include "src/ctg/dag_algos.hpp"
+#include "src/ctg/serialize.hpp"
 #include "src/gen/tgff.hpp"
 #include "src/obs/profile.hpp"
 #include "src/obs/telemetry.hpp"
@@ -294,6 +296,37 @@ void BM_DecisionStream_Read(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DecisionStream_Read)->Unit(benchmark::kMillisecond);
+
+/// CTG text parsing throughput ("mb_per_s" of CTG text read) on a fixed
+/// 512-task Category II graph.
+void BM_CtgRead(benchmark::State& state) {
+  TgffParams params = category_params(2, 0);
+  params.num_tasks = 512;
+  params.num_edges = 2 * params.num_tasks;
+  const std::string text = ctg_to_string(generate_tgff_like(params, catalog_4x4()));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctg_from_string(text));
+    bytes += text.size();
+  }
+  state.counters["mb_per_s"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CtgRead)->Unit(benchmark::kMillisecond);
+
+/// Building the reachability matrix search & repair queries for its LTS
+/// ancestor checks (once per repaired graph).
+void BM_ReachabilityMatrix(benchmark::State& state) {
+  TgffParams params = category_params(2, 0);
+  params.num_tasks = static_cast<std::size_t>(state.range(0));
+  params.num_edges = 2 * params.num_tasks;
+  const TaskGraph g = generate_tgff_like(params, catalog_4x4());
+  for (auto _ : state) {
+    ReachabilityMatrix m(g);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_ReachabilityMatrix)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Custom campaign app for the merge bench (mirrors the campaign tests).
 campaign::AppSpec merge_bench_app(const std::string& name, std::size_t tasks) {

@@ -61,7 +61,13 @@ ValidationReport validate_schedule(const TaskGraph& g, const Platform& p, const 
       r.issue("task ", task.name, " starts at ", tp.start, " before its release ", task.release);
     }
     const Duration exec = task.exec_time[tp.pe.index()];
-    if (tp.finish != tp.start + exec) {
+    Time end = 0;
+    if (__builtin_add_overflow(tp.start, exec, &end)) {
+      r.issue("task ", task.name, " start ", tp.start, " + exec ", exec,
+              " overflows the 64-bit time type");
+      continue;
+    }
+    if (tp.finish != end) {
       r.issue("task ", task.name, " finish ", tp.finish, " != start ", tp.start, " + exec ", exec);
     }
     if (options.check_deadlines && task.has_deadline() && tp.finish > task.deadline) {
@@ -102,6 +108,12 @@ ValidationReport validate_schedule(const TaskGraph& g, const Platform& p, const 
       r.issue("transaction ", ename, " not placed");
       continue;
     }
+    Time arrival = 0;
+    if (__builtin_add_overflow(cp.start, cp.duration, &arrival)) {
+      r.issue("transaction ", ename, " start ", cp.start, " + duration ", cp.duration,
+              " overflows the 64-bit time type");
+      continue;
+    }
     if (cp.src_pe != sender.pe || cp.dst_pe != receiver.pe) {
       r.issue("transaction ", ename, " endpoints (", cp.src_pe.value, ',', cp.dst_pe.value,
               ") disagree with task placements (", sender.pe.value, ',', receiver.pe.value, ')');
@@ -116,9 +128,9 @@ ValidationReport validate_schedule(const TaskGraph& g, const Platform& p, const 
       r.issue("transaction ", ename, " starts at ", cp.start, " before sender finishes at ",
               sender.finish);
     }
-    if (receiver.start < cp.arrival()) {
+    if (receiver.start < arrival) {
       r.issue("task ", g.task(edge.dst).name, " starts at ", receiver.start,
-              " before transaction ", ename, " arrives at ", cp.arrival());
+              " before transaction ", ename, " arrives at ", arrival);
     }
   }
 
@@ -127,8 +139,9 @@ ValidationReport validate_schedule(const TaskGraph& g, const Platform& p, const 
     std::map<LinkId, std::vector<std::pair<Interval, EdgeId>>> by_link;
     for (EdgeId e : g.all_edges()) {
       const CommPlacement& cp = s.at(e);
-      if (!cp.uses_network()) continue;
-      const Interval iv{cp.start, cp.arrival()};
+      Time arrival = 0;
+      if (!cp.uses_network() || __builtin_add_overflow(cp.start, cp.duration, &arrival)) continue;
+      const Interval iv{cp.start, arrival};
       for (LinkId l : p.route(cp.src_pe, cp.dst_pe)) by_link[l].emplace_back(iv, e);
     }
     for (auto& [link, occs] : by_link) {

@@ -151,17 +151,16 @@ bool is_reachable(const TaskGraph& g, TaskId from, TaskId to) {
 }
 
 ReachabilityMatrix::ReachabilityMatrix(const TaskGraph& g)
-    : n_(g.num_tasks()), bits_(n_ * n_, false) {
+    : words_((g.num_tasks() + 63) / 64), rows_(g.num_tasks() * words_, 0) {
   const auto order = topological_order(g);
   // Process in reverse topological order: reach(t) = {t} U union reach(succ).
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const TaskId t = *it;
-    bits_[t.index() * n_ + t.index()] = true;
-    for (EdgeId e : g.out_edges(t)) {
-      const TaskId s = g.edge(e).dst;
-      for (std::size_t j = 0; j < n_; ++j) {
-        if (bits_[s.index() * n_ + j]) bits_[t.index() * n_ + j] = true;
-      }
+    const std::size_t t = it->index();
+    std::uint64_t* row = &rows_[t * words_];
+    row[t / 64] |= std::uint64_t{1} << (t % 64);
+    for (EdgeId e : g.out_edges(*it)) {
+      const std::uint64_t* succ = &rows_[g.edge(e).dst.index() * words_];
+      for (std::size_t w = 0; w < words_; ++w) row[w] |= succ[w];
     }
   }
 }

@@ -1,6 +1,7 @@
 // DAG algorithms over the CTG used by slack budgeting, baselines and tests.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -56,18 +57,21 @@ struct BackwardPass {
 /// from == to).  Used by local task swapping to keep orders acyclic.
 [[nodiscard]] bool is_reachable(const TaskGraph& g, TaskId from, TaskId to);
 
-/// Dense reachability matrix (row-major, num_tasks^2 bools); worthwhile when
-/// many reachability queries hit the same graph (search & repair).
+/// Dense reachability matrix: one row of ceil(num_tasks / 64) 64-bit words
+/// per task, built by OR-ing successor rows in reverse topological order
+/// (O(E * V / 64)); worthwhile when many reachability queries hit the same
+/// graph (search & repair).
 class ReachabilityMatrix {
  public:
   explicit ReachabilityMatrix(const TaskGraph& g);
   [[nodiscard]] bool reachable(TaskId from, TaskId to) const {
-    return bits_[from.index() * n_ + to.index()];
+    const std::size_t j = to.index();
+    return (rows_[from.index() * words_ + j / 64] >> (j % 64)) & 1u;
   }
 
  private:
-  std::size_t n_;
-  std::vector<bool> bits_;
+  std::size_t words_;  // words per row
+  std::vector<std::uint64_t> rows_;
 };
 
 }  // namespace noceas

@@ -1,10 +1,11 @@
 #include "src/ctg/serialize.hpp"
 
 #include <iomanip>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+
+#include "src/util/text_scan.hpp"
 
 namespace noceas {
 
@@ -32,68 +33,57 @@ void write_ctg(std::ostream& os, const TaskGraph& g) {
   NOCEAS_REQUIRE(os.good(), "stream failure while writing CTG");
 }
 
-namespace {
-// Reads the next non-comment, non-empty line into a token stream.
-bool next_line(std::istream& is, std::istringstream& line_stream) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    line_stream.clear();
-    line_stream.str(line);
-    return true;
-  }
-  return false;
-}
-}  // namespace
-
-TaskGraph read_ctg(std::istream& is) {
-  std::istringstream line;
-  NOCEAS_REQUIRE(next_line(is, line), "empty CTG file");
-  std::string tag;
-  std::size_t n_tasks = 0, n_edges = 0, n_pes = 0;
-  line >> tag >> n_tasks >> n_edges >> n_pes;
-  NOCEAS_REQUIRE(tag == "ctg" && !line.fail(), "expected 'ctg <tasks> <edges> <pes>' header");
+TaskGraph ctg_from_string(std::string_view text) {
+  TextScanner scan(text, "CTG");
+  scan.require_line("the 'ctg <tasks> <edges> <pes>' header");
+  scan.keyword("ctg");
+  const auto n_tasks = scan.number<std::size_t>("task count");
+  const auto n_edges = scan.number<std::size_t>("edge count");
+  const auto n_pes = scan.number<std::size_t>("PE count");
+  scan.end_line();
 
   TaskGraph g(n_pes);
   for (std::size_t i = 0; i < n_tasks; ++i) {
-    NOCEAS_REQUIRE(next_line(is, line), "truncated CTG: expected task " << i);
-    std::string name, deadline_tok;
-    Time release = 0;
-    line >> tag >> name >> deadline_tok >> release;
-    NOCEAS_REQUIRE(tag == "task" && !line.fail(), "malformed task line " << i);
-    Time deadline = kNoDeadline;
-    if (deadline_tok != "-") {
-      deadline = std::stoll(deadline_tok);
+    scan.require_line("a task line");
+    scan.keyword("task");
+    std::string name(scan.token("task name"));
+    const std::string_view deadline_tok = scan.token("deadline");
+    const Time deadline =
+        deadline_tok == "-" ? kNoDeadline : scan.parse_number<Time>(deadline_tok, "deadline");
+    const auto release = scan.number<Time>("release");
+    // Size the per-PE arrays from the line itself, never from the header
+    // alone: a corrupt PE count must not drive an allocation.
+    const std::size_t left = scan.tokens_left();
+    if (left / 2 != n_pes || left % 2 != 0) {
+      scan.fail("task '" + name + "' has " + std::to_string(left) +
+                " per-PE values, expected 2 x " + std::to_string(n_pes));
     }
     std::vector<Duration> times(n_pes);
     std::vector<Energy> energies(n_pes);
-    for (auto& t : times) line >> t;
-    for (auto& e : energies) line >> e;
-    NOCEAS_REQUIRE(!line.fail(), "malformed per-PE arrays for task '" << name << '\'');
+    for (auto& t : times) t = scan.number<Duration>("execution time");
+    for (auto& e : energies) e = scan.number<Energy>("energy");
     g.add_task(std::move(name), std::move(times), std::move(energies), deadline, release);
   }
   for (std::size_t i = 0; i < n_edges; ++i) {
-    NOCEAS_REQUIRE(next_line(is, line), "truncated CTG: expected edge " << i);
-    std::int32_t src = -1, dst = -1;
-    Volume volume = 0;
-    line >> tag >> src >> dst >> volume;
-    NOCEAS_REQUIRE(tag == "edge" && !line.fail(), "malformed edge line " << i);
+    scan.require_line("an edge line");
+    scan.keyword("edge");
+    const auto src = scan.number<std::int32_t>("edge source");
+    const auto dst = scan.number<std::int32_t>("edge target");
+    const auto volume = scan.number<Volume>("volume");
+    scan.end_line();
     g.add_edge(TaskId{src}, TaskId{dst}, volume);
   }
+  if (scan.next_line()) scan.fail("unexpected line after the last edge");
   g.validate();
   return g;
 }
+
+TaskGraph read_ctg(std::istream& is) { return ctg_from_string(read_stream_text(is)); }
 
 std::string ctg_to_string(const TaskGraph& g) {
   std::ostringstream os;
   write_ctg(os, g);
   return os.str();
-}
-
-TaskGraph ctg_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_ctg(is);
 }
 
 }  // namespace noceas

@@ -1,12 +1,12 @@
 #include "src/noc/platform_io.hpp"
 
-#include <cmath>
 #include <iomanip>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
+
+#include "src/util/text_scan.hpp"
 
 namespace noceas {
 
@@ -24,37 +24,27 @@ void write_platform(std::ostream& os, const Platform& p) {
   NOCEAS_REQUIRE(os.good(), "stream failure while writing platform");
 }
 
-namespace {
-bool next_line(std::istream& is, std::istringstream& line_stream) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    line_stream.clear();
-    line_stream.str(line);
-    return true;
-  }
-  return false;
-}
-}  // namespace
-
-Platform read_platform(std::istream& is) {
-  std::istringstream line;
-  NOCEAS_REQUIRE(next_line(is, line), "empty platform file");
-  std::string tag, routing_tok;
-  int rows = 0, cols = 0, torus = 0, guard = 0;
-  Bandwidth bw = 0.0;
+Platform platform_from_string(std::string_view text) {
+  TextScanner scan(text, "platform");
+  scan.require_line(
+      "the 'platform <rows> <cols> <bw> <XY|YX> <torus> <guard> <e_sbit> <e_lbit> <e_bbit>' "
+      "line");
+  scan.keyword("platform");
+  const auto rows = scan.number<int>("rows");
+  const auto cols = scan.number<int>("cols");
+  const auto bw = scan.number<Bandwidth>("bandwidth");
+  const std::string_view routing_tok = scan.token("routing scheme");
+  const auto torus = scan.number<int>("torus flag");
+  const auto guard = scan.number<int>("guard flag");
   EnergyParams energy;
-  line >> tag >> rows >> cols >> bw >> routing_tok >> torus >> guard >> energy.e_sbit >>
-      energy.e_lbit >> energy.e_bbit;
-  NOCEAS_REQUIRE(tag == "platform" && !line.fail(),
-                 "expected 'platform <rows> <cols> <bw> <XY|YX> <torus> <guard> "
-                 "<e_sbit> <e_lbit> <e_bbit>'");
+  energy.e_sbit = scan.number<Energy>("e_sbit");
+  energy.e_lbit = scan.number<Energy>("e_lbit");
+  energy.e_bbit = scan.number<Energy>("e_bbit");
+  scan.end_line();
   const std::pair<const char*, Energy> energies[] = {
       {"e_sbit", energy.e_sbit}, {"e_lbit", energy.e_lbit}, {"e_bbit", energy.e_bbit}};
   for (const auto& [name, value] : energies) {
-    NOCEAS_REQUIRE(std::isfinite(value) && value >= 0.0,
-                   "platform " << name << " must be a finite energy >= 0, got " << value);
+    NOCEAS_REQUIRE(value >= 0.0, "platform " << name << " must be an energy >= 0, got " << value);
   }
   RoutingAlgorithm algo;
   if (routing_tok == "XY") {
@@ -62,30 +52,26 @@ Platform read_platform(std::istream& is) {
   } else if (routing_tok == "YX") {
     algo = RoutingAlgorithm::YX;
   } else {
-    NOCEAS_REQUIRE(false, "unknown routing scheme '" << routing_tok << '\'');
+    scan.fail("unknown routing scheme '" + std::string(routing_tok) + '\'');
   }
 
-  NOCEAS_REQUIRE(next_line(is, line), "missing 'tiles' line");
-  line >> tag;
-  NOCEAS_REQUIRE(tag == "tiles", "expected 'tiles <types...>'");
+  scan.require_line("the 'tiles <types...>' line");
+  scan.keyword("tiles");
   std::vector<std::string> types;
-  std::string type;
-  while (line >> type) types.push_back(type);
+  while (!scan.at_line_end()) types.emplace_back(scan.token("tile type"));
   NOCEAS_REQUIRE(types.size() == static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
                  types.size() << " tile types for a " << rows << 'x' << cols << " mesh");
+  if (scan.next_line()) scan.fail("unexpected line after the tiles line");
   return make_mesh_platform(rows, cols, std::move(types), bw, algo, energy, torus != 0,
                             guard != 0);
 }
+
+Platform read_platform(std::istream& is) { return platform_from_string(read_stream_text(is)); }
 
 std::string platform_to_string(const Platform& p) {
   std::ostringstream os;
   write_platform(os, p);
   return os.str();
-}
-
-Platform platform_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_platform(is);
 }
 
 }  // namespace noceas

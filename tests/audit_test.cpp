@@ -315,6 +315,38 @@ TEST(ScheduleIo, RejectsMalformedText) {
   EXPECT_THROW((void)read_schedule_text(bad_keyword), Error);
   std::istringstream truncated("schedule 2 0\ntask 0 0 0 1\n");
   EXPECT_THROW((void)read_schedule_text(truncated), Error);
+  EXPECT_THROW((void)schedule_from_string("schedule 1 0 5\ntask 0 0 0 1\n"), Error);
+  EXPECT_THROW((void)schedule_from_string("schedule 1 0\ntask 0 0 0 1 1\n"), Error);
+  EXPECT_THROW((void)schedule_from_string("schedule 1 0\ntask 1 0 0 1\n"), Error);
+  EXPECT_THROW((void)schedule_from_string("schedule 1 0\ntask 0 0 0 1x\n"), Error);
+  EXPECT_THROW((void)schedule_from_string("schedule 1 0\ntask 0 0 0 1\ntask 1 0 1 2\n"), Error);
+  EXPECT_THROW((void)schedule_from_string("schedule -1 0\n"), Error);
+  // A huge header count fails on the missing lines, not on an allocation.
+  EXPECT_THROW((void)schedule_from_string("schedule 1000000000000000 0\ntask 0 0 0 1\n"),
+               Error);
+}
+
+// Placed times outside the schedulers' contract are rejected at read time:
+// negative, finishing before the start, or a comm arriving past INT64_MAX.
+TEST(ScheduleIo, RejectsTimesOutsideTheHorizonContract) {
+  const char* bad[] = {
+      "schedule 1 0\ntask 0 0 -1 9\n",
+      "schedule 1 0\ntask 0 0 9223372036854775800 30\n",
+      "schedule 1 0\ntask 0 0 9223372036854775808 9223372036854775808\n",
+      "schedule 2 1\ntask 0 0 0 1\ntask 1 1 5 6\ncomm 0 0 1 -1 3\n",
+      "schedule 2 1\ntask 0 0 0 1\ntask 1 1 5 6\ncomm 0 0 1 1 -3\n",
+      "schedule 2 1\ntask 0 0 0 1\ntask 1 1 5 6\ncomm 0 0 1 9223372036854775800 8\n",
+  };
+  for (const char* text : bad) EXPECT_THROW((void)schedule_from_string(text), Error) << text;
+  // Unplaced entries (pe = -1) carry no times; the largest representable
+  // placed interval is accepted and left to validate_schedule.
+  const Schedule s = schedule_from_string(
+      "# exported\r\nschedule 2 1\r\ntask 0 -1 0 0\r\n"
+      "task 1 0 9223372036854775800 9223372036854775807\r\n"
+      "comm 0 -1 0 0 0\r\n");
+  EXPECT_FALSE(s.tasks[0].placed());
+  EXPECT_EQ(s.tasks[1].start, 9223372036854775800);
+  EXPECT_FALSE(s.comms[0].placed());
 }
 
 }  // namespace

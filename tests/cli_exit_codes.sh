@@ -56,6 +56,18 @@ expect 1 "unreadable ctg" \
 awk '$1 == "platform" { $8 = "-1" } { print }' "$tmp/p.txt" > "$tmp/neg_energy.txt"
 expect 1 "platform with a negative bit energy" \
   "$cli" schedule --ctg "$tmp/g.txt" --platform "$tmp/neg_energy.txt"
+# Malformed CTG text: a partial number and a surplus per-PE value are
+# rejected where the file is read (the line is named on stderr).
+awk '$1 == "task" && !done { $3 = "12abc"; done = 1 } { print }' "$tmp/g.txt" > "$tmp/partial.txt"
+expect 1 "ctg with a partial-number deadline" "$cli" info --ctg "$tmp/partial.txt"
+awk '$1 == "task" && !done { $0 = $0 " 7"; done = 1 } { print }' "$tmp/g.txt" > "$tmp/surplus.txt"
+expect 1 "ctg with a surplus per-PE value" "$cli" info --ctg "$tmp/surplus.txt"
+# A schedule whose task 0 starts at 9223372036854775800 but finishes
+# earlier is outside the time contract: the reader rejects it.
+awk '$1 == "task" && $2 == 0 { $4 = "9223372036854775800" } { print }' "$tmp/s.txt" \
+  > "$tmp/late_start.txt"
+expect 1 "schedule text with start after finish near INT64_MAX" \
+  "$cli" validate --schedule "$tmp/late_start.txt" --ctg "$tmp/g.txt" --platform "$tmp/p.txt"
 expect 1 "campaign with unknown scheduler" \
   "$cli" campaign --out "$tmp/camp" --categories 1 --schedulers frobnicate
 
@@ -66,6 +78,14 @@ expect 1 "campaign with unknown scheduler" \
 awk '$1 == "task" && $2 == 0 { $5 = $5 + 1 } { print }' "$tmp/s.txt" > "$tmp/bad.txt"
 expect 3 "validate tampered schedule" \
   "$cli" validate --schedule "$tmp/bad.txt" --ctg "$tmp/g.txt" --platform "$tmp/p.txt"
+
+# Task 0 at [9223372036854775800, 9223372036854775800] reads back (it is in
+# the time range), and the validator reports that start + exec overflows
+# instead of computing it.
+awk '$1 == "task" && $2 == 0 { $4 = "9223372036854775800"; $5 = $4 } { print }' \
+  "$tmp/s.txt" > "$tmp/overflow.txt"
+expect 3 "validate schedule whose start + exec overflows" \
+  "$cli" validate --schedule "$tmp/overflow.txt" --ctg "$tmp/g.txt" --platform "$tmp/p.txt"
 
 # --- exit 4: incompatible shard set (campaign merge) --------------------
 # A small 2-shard fleet: category-1 apps x 2 seeds x 1 scheduler.

@@ -123,21 +123,24 @@ TEST(Reachability, DirectAndTransitive) {
   EXPECT_FALSE(is_reachable(g, TaskId{3}, TaskId{0}));
 }
 
-// Property: the dense matrix agrees with BFS on random graphs.
+// Property: the dense matrix agrees with BFS on random graphs.  Sizes 60,
+// 110, ..., 260 put rows at one to five 64-bit words, with queries on both
+// sides of every word boundary.
 class ReachabilityProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReachabilityProperty, MatrixMatchesBfs) {
   const PeCatalog catalog = make_hetero_catalog(2, 2, 1);
   TgffParams params;
-  params.num_tasks = 60;
-  params.num_edges = 120;
+  params.num_tasks = 10 + 50 * static_cast<std::size_t>(GetParam());
+  params.num_edges = 2 * params.num_tasks;
   params.seed = static_cast<std::uint64_t>(GetParam());
   const TaskGraph g = generate_tgff_like(params, catalog);
   const ReachabilityMatrix m(g);
+  const auto last = static_cast<std::int64_t>(g.num_tasks()) - 1;
   Rng rng(params.seed ^ 0xabcd);
-  for (int i = 0; i < 200; ++i) {
-    const TaskId a{static_cast<std::int32_t>(rng.uniform_int(0, 59))};
-    const TaskId b{static_cast<std::int32_t>(rng.uniform_int(0, 59))};
+  for (int i = 0; i < 2000; ++i) {
+    const TaskId a{static_cast<std::int32_t>(rng.uniform_int(0, last))};
+    const TaskId b{static_cast<std::int32_t>(rng.uniform_int(0, last))};
     ASSERT_EQ(m.reachable(a, b), is_reachable(g, a, b))
         << "a=" << a.value << " b=" << b.value;
   }

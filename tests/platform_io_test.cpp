@@ -1,6 +1,9 @@
 // Unit tests for the platform spec (de)serialization.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/noc/graph_topology.hpp"
 #include "src/noc/platform_io.hpp"
 
@@ -58,6 +61,48 @@ TEST(PlatformIo, RejectsMalformedInput) {
   EXPECT_THROW(platform_from_string("platform 2 2 32 ZZ 0 0 1 1 0\ntiles A B C D\n"), Error);
   EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 1 1 0\ntiles A B\n"), Error);
   EXPECT_THROW(platform_from_string("platform 2 2 32 XY 0 0 1 1 0\n"), Error);
+  // Whole tokens, no trailing tokens or lines, a positive mesh; each
+  // rejection names the line.
+  const std::string tiles = "tiles A B C D\n";
+  const std::pair<std::string, const char*> cases[] = {
+      {"platform 2 2 32 XY 0 0 1 1 0 7\n" + tiles, "platform line 1: unexpected trailing token '7'"},
+      {"platform 2x 2 32 XY 0 0 1 1 0\n" + tiles, "platform line 1: rows '2x'"},
+      {"platform 2 2 32abc XY 0 0 1 1 0\n" + tiles, "platform line 1: bandwidth '32abc'"},
+      {"platform 2 2 0x20 XY 0 0 1 1 0\n" + tiles, "platform line 1: bandwidth '0x20'"},
+      {"platform 2 2 32 XY 0 0 1 1 0\n" + tiles + "tiles E F G H\n",
+       "platform line 3: unexpected line"},
+      {"platform 2 2 32 XY 0 0 1 1 0\ntile A B C D\n", "platform line 2: expected 'tiles'"},
+      {"platform 2 2 32 XY 0 1.5 1 1 0\n" + tiles, "platform line 1: guard flag '1.5'"},
+      {"platform 2 2 32 QQ 0 0 1 1 0\n" + tiles, "platform line 1: unknown routing scheme 'QQ'"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)platform_from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << "message '" << e.what() << "' lacks '" << message << "'";
+    }
+  }
+  // Non-positive, non-finite or out-of-range mesh parameters.
+  EXPECT_THROW(platform_from_string("platform -1 -1 32 XY 0 0 1 1 0\ntiles A\n"), Error);
+  EXPECT_THROW(platform_from_string("platform 0 2 32 XY 0 0 1 1 0\ntiles\n"), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 -32 XY 0 0 1 1 0\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 2 2 inf XY 0 0 1 1 0\n" + tiles), Error);
+  EXPECT_THROW(platform_from_string("platform 99999999999 2 32 XY 0 0 1 1 0\n" + tiles), Error);
+}
+
+TEST(PlatformIo, AcceptsCrlfTabsCommentsAndLeadingPlus) {
+  const Platform p = platform_from_string(
+      "# chip\r\n\r\nplatform\t+2 2 +32.5\tYX 1 +1 1e-3 +0.002 0\r\n"
+      "  # tiles follow\r\ntiles\tA B\tC D \r\n");
+  EXPECT_EQ(p.num_pes(), 4u);
+  EXPECT_EQ(p.routing(), RoutingAlgorithm::YX);
+  EXPECT_DOUBLE_EQ(p.route_bandwidth(), 32.5);
+  EXPECT_TRUE(p.mesh().wraparound());
+  EXPECT_TRUE(p.pipeline_guard());
+  EXPECT_EQ(p.energy().e_lbit, 0.002);
+  EXPECT_EQ(p.pe(PeId{3}).type, "D");
 }
 
 TEST(PlatformIo, RejectsNegativeOrNonFiniteEnergies) {

@@ -62,6 +62,29 @@ TEST(Validator, DetectsNegativeStart) {
   EXPECT_FALSE(validate_schedule(g, p, s).ok());
 }
 
+// start + exec past INT64_MAX (a corrupt or hostile schedule) is reported,
+// never computed with signed overflow.
+TEST(Validator, ReportsStartPlusExecOverflow) {
+  const TaskGraph g = pair_graph();
+  const Platform p = platform2x2();
+  Schedule s = good_schedule(g, p);
+  s.tasks[0].start = 9223372036854775800;
+  s.tasks[0].finish = 9223372036854775800;
+  const ValidationReport vr = validate_schedule(g, p, s);
+  ASSERT_FALSE(vr.ok());
+  EXPECT_NE(vr.to_string().find("overflows"), std::string::npos) << vr.to_string();
+}
+
+TEST(Validator, ReportsCommArrivalOverflow) {
+  const TaskGraph g = pair_graph();
+  const Platform p = platform2x2();
+  Schedule s = good_schedule(g, p);
+  s.comms[0].start = 9223372036854775800;
+  const ValidationReport vr = validate_schedule(g, p, s);
+  ASSERT_FALSE(vr.ok());
+  EXPECT_NE(vr.to_string().find("overflows"), std::string::npos) << vr.to_string();
+}
+
 TEST(Validator, DetectsDeadlineMiss) {
   const TaskGraph g = pair_graph();
   const Platform p = platform2x2();

@@ -33,7 +33,9 @@ metrics section (probe cache hit rate, decision counters from a fixed
 fixed `noceas_cli campaign` mini-fleet) is deterministic, so any drift there
 is reported exactly; it warns rather than fails because a deliberate
 algorithm change legitimately moves those numbers — re-record the baseline
-with it.
+with it.  Counters that follow the host's core count rather than the code
+(HOST_DEPENDENT_METRICS: the shared probe pool's batch and probe counts)
+are dropped on both sides, so a baseline recorded with them still checks.
 
 `check --json PATH` additionally writes a machine-readable diff
 (`noceas.bench_compare.v1`): per-benchmark baseline/current/delta with an
@@ -57,6 +59,14 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Registry counters whose value depends on how many lanes the process-wide
+# probe pool has on this host, not on the schedule: never compared.
+HOST_DEPENDENT_METRICS = frozenset({"probe.parallel_batches", "probe.parallel_probes"})
+
+
+def host_independent(metrics):
+    """`metrics` without the HOST_DEPENDENT_METRICS entries."""
+    return {k: v for k, v in metrics.items() if k not in HOST_DEPENDENT_METRICS}
 BASELINE_SCHEMA = "noceas.bench_baseline.v1"
 TRAJECTORY_SCHEMA = "noceas.bench_trajectory.v1"
 COMPARE_SCHEMA = "noceas.bench_compare.v1"
@@ -200,7 +210,7 @@ def deterministic_metrics(build_dir):
         if "seconds" in name or "time" in name:
             continue
         out[name] = g["value"]
-    return out
+    return host_independent(out)
 
 
 def flatten_campaign_aggregate(doc):
@@ -351,7 +361,7 @@ def compare(baseline, bench, metrics, tolerance, comparable, profile=None, build
                      "delta_rel": None, "verdict": "new"})
 
     drift = []
-    for name, base_v in sorted(baseline.get("metrics", {}).items()):
+    for name, base_v in sorted(host_independent(baseline.get("metrics", {})).items()):
         cur = metrics.get(name)
         if cur != base_v:
             drift.append({"name": name, "baseline": base_v, "current": cur})

@@ -4,9 +4,11 @@
 # Builds the full test suite twice under NOCEAS_SANITIZE and runs tier-1
 # ctest under each instrumentation:
 #   1. address,undefined — whole suite (memory errors, UB in the schedulers),
-#                          including the seeded parser mutation fuzz
-#                          (ParserFuzz in tests/json_test.cpp), since the
-#                          JSON reader walks raw pointers
+#                          including the seeded parser mutation fuzz runs
+#                          (ParserFuzz in tests/json_test.cpp, since the
+#                          JSON reader walks raw pointers, and TextFuzz in
+#                          tests/text_scan_test.cpp over the CTG, platform
+#                          and schedule text readers)
 #   2. thread            — the probe/thread-pool/obs tests, which exercise
 #                          the parallel F(i,k) evaluation path of ProbeEngine
 #                          and multi-lane trace emission

@@ -79,6 +79,25 @@ class CompareTest(unittest.TestCase):
                          [{"name": "hits", "baseline": 100, "current": 101}])
         self.assertEqual(r["verdict"], "warn")
 
+    def test_host_dependent_metrics_never_drift(self):
+        # A baseline recorded on a 1-core host (pool counters 0) checks clean
+        # on a 4-core host whether the current run reports them or not.
+        base = make_baseline({"a": 1.0}, {"hits": 100, "probe.parallel_batches": 0,
+                                          "probe.parallel_probes": 0})
+        for current in ({"hits": 100, "probe.parallel_batches": 415,
+                         "probe.parallel_probes": 15338}, {"hits": 100}):
+            r = bench_compare.compare(base, {"a": 1.0}, current, 0.35, True)
+            self.assertEqual(r["metric_drift"], [])
+            self.assertEqual(r["verdict"], "pass")
+        self.assertEqual(
+            bench_compare.host_independent({"hits": 1, "probe.parallel_batches": 2,
+                                            "probe.parallel_probes": 3}),
+            {"hits": 1})
+        # Real drift beside them still shows.
+        r = bench_compare.compare(base, {"a": 1.0}, {"hits": 99}, 0.35, True)
+        self.assertEqual(r["metric_drift"],
+                         [{"name": "hits", "baseline": 100, "current": 99}])
+
     def test_zero_baseline_does_not_divide(self):
         base = make_baseline({"a": 0.0})
         r = bench_compare.compare(base, {"a": 3.0}, {}, 0.35, True)
